@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
+from scipy.sparse import coo_matrix, csgraph
 
 from .channels import ChannelMaps
 from .geometry import Polyline
@@ -64,63 +65,55 @@ def connected_components(
     """Components of a boolean map under a centered rectangular neighborhood.
 
     Two foreground pixels are adjacent iff |dx| <= (cc_width-1)//2 and
-    |dy| <= (cc_height-1)//2; components are the transitive closure.  The
-    implementation unions maximal horizontal runs instead of single pixels,
-    which is exact and fast on thin post-NMS ridges.
+    |dy| <= (cc_height-1)//2; components are the transitive closure.
+
+    Run-based labeling (He, Chao & Suzuki, IEEE TIP 2008) in array form:
+    same-row pixels whose column step is at most dx chain into segments.
+    Two segments k <= dy rows apart are adjacent iff their column spans come
+    within dx of each other (each segment has a pixel in every dx columns of
+    its span), so the candidates of a segment in row r-k are one contiguous
+    run of that row's segments, found with ``searchsorted``.  The segment
+    graph is labeled by ``scipy.sparse.csgraph.connected_components``.
 
     Returns a list of (rows, cols) index arrays, one per component, ordered
-    by (topmost row, leftmost column).
+    by (topmost row, leftmost column, first pixel in raster order); the
+    pixels of each component are in raster order.
     """
     fg = np.asarray(fg, dtype=bool)
     dx = (cc_width - 1) // 2
     dy = (cc_height - 1) // 2
-    runs: list[tuple[int, int, int]] = []  # (row, col_start, col_end) inclusive
-    run_gap = 1 if dx >= 1 else 0  # dx=0: consecutive pixels are not adjacent
-    for r in np.nonzero(fg.any(axis=1))[0]:
-        cols = np.nonzero(fg[r])[0]
-        breaks = np.nonzero(np.diff(cols) > run_gap)[0]
-        starts = np.concatenate([[0], breaks + 1])
-        ends = np.concatenate([breaks, [len(cols) - 1]])
-        for s, e in zip(starts, ends):
-            runs.append((int(r), int(cols[s]), int(cols[e])))
+    rows, cols = np.nonzero(fg)
+    if len(rows) == 0:
+        return []
+    new_seg = np.ones(len(rows), dtype=bool)
+    new_seg[1:] = (rows[1:] != rows[:-1]) | (np.diff(cols) > dx)
+    first = np.nonzero(new_seg)[0]  # first pixel of each segment
+    last = np.append(first[1:] - 1, len(rows) - 1)
+    seg_row, seg_start, seg_end = rows[first], cols[first], cols[last]
 
-    parent = list(range(len(runs)))
+    # (row, col) keys; a row's stride exceeds any column +- dx, so rows never mix.
+    stride = fg.shape[1] + dx + 1
+    start_keys = seg_row * stride + seg_start
+    end_keys = seg_row * stride + seg_end
+    src, dst = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for k in range(1, dy + 1):
+        lo = np.searchsorted(end_keys, (seg_row - k) * stride + seg_start - dx, side="left")
+        hi = np.searchsorted(start_keys, (seg_row - k) * stride + seg_end + dx, side="right")
+        counts = np.maximum(hi - lo, 0)
+        offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        src.append(np.repeat(np.arange(len(first)), counts))
+        dst.append(np.repeat(lo, counts) + offsets)
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    graph = coo_matrix((np.ones(len(src)), (src, dst)), shape=(len(first), len(first)))
+    n_comp, seg_label = csgraph.connected_components(graph, directed=False)
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-
-    by_row: dict[int, list[int]] = {}
-    for idx, (r, _, _) in enumerate(runs):
-        by_row.setdefault(r, []).append(idx)
-
-    for idx, (r, s, e) in enumerate(runs):
-        for rr in range(r - dy, r + 1):
-            for jdx in by_row.get(rr, ()):
-                if jdx >= idx:
-                    continue
-                _, s2, e2 = runs[jdx]
-                if s - dx <= e2 and s2 - dx <= e:
-                    union(idx, jdx)
-
-    groups: dict[int, list[int]] = {}
-    for idx in range(len(runs)):
-        groups.setdefault(find(idx), []).append(idx)
-
-    components = []
-    for members in groups.values():
-        rows = np.concatenate([np.full(runs[i][2] - runs[i][1] + 1, runs[i][0]) for i in members])
-        cols = np.concatenate([np.arange(runs[i][1], runs[i][2] + 1) for i in members])
-        components.append((rows, cols))
-    components.sort(key=lambda rc: (int(rc[0].min()), int(rc[1].min())))
-    return components
+    label = np.repeat(seg_label, last - first + 1)
+    order = np.argsort(label, kind="stable")  # raster order inside each component
+    bounds = np.searchsorted(label[order], np.arange(n_comp + 1))
+    heads = bounds[:-1]
+    rows, cols = rows[order], cols[order]
+    rank = np.lexsort((order[heads], np.minimum.reduceat(cols, heads), rows[heads]))
+    return [(rows[bounds[c] : bounds[c + 1]], cols[bounds[c] : bounds[c + 1]]) for c in rank]
 
 
 def _fit_spline(rows: np.ndarray, cols: np.ndarray, max_points: int) -> Polyline:

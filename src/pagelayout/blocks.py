@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_matrix, csgraph
 
 from ._raster import polyline_pixels
 from .baselines import ExtractParams, detect_baselines
@@ -23,6 +24,8 @@ from .channels import ChannelMaps
 from .geometry import (
     Polygon,
     Polyline,
+    _points_in_ring,
+    _points_ring_distance,
     _segments_cross,
     alpha_shape,
     convex_hull,
@@ -111,11 +114,8 @@ def _drop_self_intersections(ring: np.ndarray) -> np.ndarray:
 
 
 def _contains_within(poly: Polygon, pts: np.ndarray, tol: float = 0.45) -> bool:
-    from .layout import _distance_to_ring, _point_in_ring
-
-    return all(
-        _point_in_ring(poly.ring, x, y) or _distance_to_ring(poly.ring, x, y) <= tol for x, y in pts
-    )
+    outside = ~_points_in_ring(poly.ring, pts)
+    return bool((_points_ring_distance(poly.ring, pts[outside]) <= tol).all())
 
 
 def polygon_from_baseline(points: np.ndarray, ascender: float, descender: float) -> Polygon:
@@ -246,26 +246,21 @@ def cluster_blocks(
     """Partition lines into blocks: connected components of the neighbour graph."""
     params = params or BlockParams()
     n = len(lines)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     x_ints = [_x_interval(line) for line in lines]
     mid_ys = [baseline_midpoint(line.baseline)[1] for line in lines]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if _neighbours(lines[i], lines[j], maps, params, x_ints[i], x_ints[j], mid_ys[i], mid_ys[j]):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
+    edges = [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if _neighbours(lines[i], lines[j], maps, params, x_ints[i], x_ints[j], mid_ys[i], mid_ys[j])
+    ]
+    src, dst = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+    graph = coo_matrix((np.ones(len(edges)), (src, dst)), shape=(n, n))
+    _, labels = csgraph.connected_components(graph, directed=False)
 
     groups: dict[int, list[TextLine]] = {}
     for i in range(n):
-        groups.setdefault(find(i), []).append(lines[i])
+        groups.setdefault(int(labels[i]), []).append(lines[i])
 
     def group_key(members: list[TextLine]):
         mids = [baseline_midpoint(ln.baseline) for ln in members]
@@ -282,7 +277,7 @@ def _baseline_x_interval(line: TextLine) -> tuple[float, float]:
     return (float(xs.min()), float(xs.max()))
 
 
-def _merge_pair(a: TextLine, b: TextLine, params: BlockParams) -> TextLine:
+def _merge_pair(a: TextLine, b: TextLine, params: BlockParams, max_points: int) -> TextLine:
     pts = np.vstack([a.baseline.points, b.baseline.points])
     order = np.argsort(pts[:, 0], kind="stable")
     px = pts[order, 0]
@@ -290,7 +285,7 @@ def _merge_pair(a: TextLine, b: TextLine, params: BlockParams) -> TextLine:
     keep = np.concatenate([[True], np.diff(px) > 1e-9])
     px, py = px[keep], py[keep]
     width = px[-1] - px[0]
-    n = max(2, min(10, int(round(width)) + 1))
+    n = max(2, min(max_points, int(round(width)) + 1))
     xs = np.linspace(px[0], px[-1], n)
     ys = np.interp(xs, px, py)
     asc = nearest_rank_percentile([a.ascender, b.ascender], params.height_percentile)
@@ -300,12 +295,17 @@ def _merge_pair(a: TextLine, b: TextLine, params: BlockParams) -> TextLine:
     return TextLine(first.id, Polyline(baseline), asc, des, polygon_from_baseline(baseline, asc, des))
 
 
-def merge_block_lines(block: TextBlock, params: BlockParams | None = None) -> TextBlock:
+def merge_block_lines(
+    block: TextBlock,
+    params: BlockParams | None = None,
+    max_control_points: int = ExtractParams.max_control_points,
+) -> TextBlock:
     """Merge horizontally adjacent in-block fragments with similar vertical position.
 
     Repeats until no pair with baseline-midpoint |dy| within
     ``merge_y_tolerance`` x min height and horizontal gap within
-    ``merge_x_gap`` x min height remains (a fixpoint).
+    ``merge_x_gap`` x min height remains (a fixpoint).  A merged baseline
+    is resampled to at most ``max_control_points`` points.
     """
     params = params or BlockParams()
     lines = list(block.lines)
@@ -323,7 +323,7 @@ def merge_block_lines(block: TextBlock, params: BlockParams | None = None) -> Te
                 xa, xb = xints[i], xints[j]
                 gap = max(0.0, max(xa[0], xb[0]) - min(xa[1], xb[1]))
                 if dy <= params.merge_y_tolerance * h_min and gap <= params.merge_x_gap * h_min:
-                    merged = _merge_pair(a, b, params)
+                    merged = _merge_pair(a, b, params, max_control_points)
                     lines = [ln for k, ln in enumerate(lines) if k not in (i, j)] + [merged]
                     changed = True
                     break
@@ -342,6 +342,7 @@ def extract_page(
     page_id: str = "page",
 ) -> PageLayout:
     """Full single-orientation pipeline: baselines, line polygons, blocks."""
+    extract_params = extract_params or ExtractParams()
     block_params = block_params or BlockParams()
     lines = []
     for i, bl in enumerate(detect_baselines(maps, extract_params)):
@@ -351,5 +352,5 @@ def extract_page(
             logger.debug("dropping out-of-bounds baseline %d", i)
     blocks = cluster_blocks(lines, maps, block_params)
     if merge:
-        blocks = [merge_block_lines(b, block_params) for b in blocks]
+        blocks = [merge_block_lines(b, block_params, extract_params.max_control_points) for b in blocks]
     return PageLayout(page_id, maps.height, maps.width, blocks)

@@ -16,6 +16,7 @@ import argparse
 import json
 import multiprocessing
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .baselines import ExtractParams
@@ -49,39 +50,18 @@ def _range_pair(text: str, cast=float) -> tuple:
 
 
 def _add_param_flags(p: argparse.ArgumentParser):
+    """One flag per ExtractParams/BlockParams field, named and defaulted after it."""
     g = p.add_argument_group("extraction parameters")
-    g.add_argument("--smooth-size", type=int, default=3)
-    g.add_argument("--nms-size", type=int, default=7)
-    g.add_argument("--threshold", type=float, default=0.3)
-    g.add_argument("--cc-width", type=int, default=5)
-    g.add_argument("--cc-height", type=int, default=9)
-    g.add_argument("--min-length", type=float, default=5.0)
-    g.add_argument("--max-control-points", type=int, default=10)
-    g.add_argument("--height-percentile", type=float, default=75.0)
-    g.add_argument("--penalty-thickness", type=float, default=3.0)
-    g.add_argument("--penalty-threshold", type=float, default=0.3)
-    g.add_argument("--merge-y-tolerance", type=float, default=0.5)
-    g.add_argument("--merge-x-gap", type=float, default=1.0)
+    for cls in (ExtractParams, BlockParams):
+        for f in fields(cls):
+            g.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
 
 
 def _params_from_args(args) -> tuple[ExtractParams, BlockParams]:
-    ep = ExtractParams(
-        smooth_size=args.smooth_size,
-        nms_size=args.nms_size,
-        threshold=args.threshold,
-        cc_width=args.cc_width,
-        cc_height=args.cc_height,
-        min_length=args.min_length,
-        max_control_points=args.max_control_points,
-    )
-    bp = BlockParams(
-        height_percentile=args.height_percentile,
-        penalty_area_thickness=args.penalty_thickness,
-        penalty_threshold=args.penalty_threshold,
-        merge_y_tolerance=args.merge_y_tolerance,
-        merge_x_gap=args.merge_x_gap,
-    )
-    return ep, bp
+    def build(cls):
+        return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
+
+    return build(ExtractParams), build(BlockParams)
 
 
 def build_parser() -> _Parser:

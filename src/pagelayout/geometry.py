@@ -142,6 +142,31 @@ def _ring_is_simple(ring: np.ndarray) -> bool:
     return not (crossing & ~adjacent).any()
 
 
+def _points_in_ring(ring: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Even-odd containment of many points, vectorized over edges."""
+    nxt = np.roll(ring, -1, axis=0)
+    x1, y1 = ring[:, 0][None, :], ring[:, 1][None, :]
+    x2, y2 = nxt[:, 0][None, :], nxt[:, 1][None, :]
+    px, py = pts[:, 0][:, None], pts[:, 1][:, None]
+    straddle = ((y1 <= py) & (py < y2)) | ((y2 <= py) & (py < y1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x_cross = x1 + (py - y1) / (y2 - y1) * (x2 - x1)
+    hits = straddle & (px < x_cross)
+    return hits.sum(axis=1) % 2 == 1
+
+
+def _points_ring_distance(ring: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Distance of many points to the ring boundary."""
+    nxt = np.roll(ring, -1, axis=0)
+    d = nxt - ring
+    l2 = np.maximum((d * d).sum(axis=1), 1e-18)[None, :]
+    px, py = pts[:, 0][:, None], pts[:, 1][:, None]
+    t = np.clip(((px - ring[:, 0][None, :]) * d[:, 0][None, :] + (py - ring[:, 1][None, :]) * d[:, 1][None, :]) / l2, 0.0, 1.0)
+    cx = ring[:, 0][None, :] + t * d[:, 0][None, :]
+    cy = ring[:, 1][None, :] + t * d[:, 1][None, :]
+    return np.hypot(px - cx, py - cy).min(axis=1)
+
+
 def horizontal_overlap(a: tuple[float, float], b: tuple[float, float]) -> float:
     """Length of the intersection of two [lo, hi] intervals; 0 when disjoint or touching."""
     return max(0.0, min(a[1], b[1]) - max(a[0], b[0]))
@@ -351,27 +376,19 @@ def alpha_shape(points, alpha: float) -> Polygon:
 # ---------------------------------------------------------------------------
 
 def rotate90(p: Point, size_hw: tuple[int, int], turns: int) -> Point:
-    """Map a point between the original frame and a 90-degree-rotated frame.
-
-    ``turns`` counts counterclockwise quarter turns of the image; a point
-    (x, y) in an H x W image maps to (y, W-1-x) in the W x H result for
-    ``turns=1``.  ``rotate90(p, rotated_size, (4 - turns) % 4)`` inverts
-    the mapping.
-    """
-    h, w = size_hw
-    x, y = float(p[0]), float(p[1])
-    t = turns % 4
-    if t == 0:
-        return (x, y)
-    if t == 1:
-        return (y, (w - 1) - x)
-    if t == 2:
-        return ((w - 1) - x, (h - 1) - y)
-    return ((h - 1) - y, x)
+    """Single-point form of :func:`rotate90_points`, as Python floats."""
+    x, y = rotate90_points(np.array([p], dtype=np.float64), size_hw, turns)[0]
+    return (float(x), float(y))
 
 
 def rotate90_points(points: np.ndarray, size_hw: tuple[int, int], turns: int) -> np.ndarray:
-    """Vectorized :func:`rotate90` over an (N, 2) array."""
+    """Map (N, 2) points between the original frame and a 90-degree-rotated frame.
+
+    ``turns`` counts counterclockwise quarter turns of the image; a point
+    (x, y) in an H x W image maps to (y, W-1-x) in the W x H result for
+    ``turns=1``.  ``rotate90_points(p, rotated_size, (4 - turns) % 4)``
+    inverts the mapping.
+    """
     h, w = size_hw
     arr = np.asarray(points, dtype=np.float64)
     x, y = arr[:, 0], arr[:, 1]

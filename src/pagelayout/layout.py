@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _raster
-from .geometry import Polygon, Polyline, intersection_area
+from .geometry import Polygon, Polyline, _points_in_ring, _points_ring_distance, intersection_area
 
 _CONTAIN_MIN = 0.95  # fraction of a line polygon its block must cover
 
@@ -35,39 +35,6 @@ def baseline_midpoint(baseline: Polyline) -> tuple[float, float]:
     x = float(np.interp(half, cum, pts[:, 0]))
     y = float(np.interp(half, cum, pts[:, 1]))
     return x, y
-
-
-def _points_in_ring(ring: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Even-odd containment of many points, vectorized over edges."""
-    nxt = np.roll(ring, -1, axis=0)
-    x1, y1 = ring[:, 0][None, :], ring[:, 1][None, :]
-    x2, y2 = nxt[:, 0][None, :], nxt[:, 1][None, :]
-    px, py = pts[:, 0][:, None], pts[:, 1][:, None]
-    straddle = ((y1 <= py) & (py < y2)) | ((y2 <= py) & (py < y1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x_cross = x1 + (py - y1) / (y2 - y1) * (x2 - x1)
-    hits = straddle & (px < x_cross)
-    return hits.sum(axis=1) % 2 == 1
-
-
-def _points_ring_distance(ring: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Distance of many points to the ring boundary."""
-    nxt = np.roll(ring, -1, axis=0)
-    d = nxt - ring
-    l2 = np.maximum((d * d).sum(axis=1), 1e-18)[None, :]
-    px, py = pts[:, 0][:, None], pts[:, 1][:, None]
-    t = np.clip(((px - ring[:, 0][None, :]) * d[:, 0][None, :] + (py - ring[:, 1][None, :]) * d[:, 1][None, :]) / l2, 0.0, 1.0)
-    cx = ring[:, 0][None, :] + t * d[:, 0][None, :]
-    cy = ring[:, 1][None, :] + t * d[:, 1][None, :]
-    return np.hypot(px - cx, py - cy).min(axis=1)
-
-
-def _point_in_ring(ring: np.ndarray, x: float, y: float) -> bool:
-    return bool(_points_in_ring(ring, np.array([[x, y]]))[0])
-
-
-def _distance_to_ring(ring: np.ndarray, x: float, y: float) -> float:
-    return float(_points_ring_distance(ring, np.array([[x, y]]))[0])
 
 
 @dataclass(frozen=True)

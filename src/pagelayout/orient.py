@@ -97,6 +97,7 @@ def detect_multi_orientation(
     are then clustered per processing frame (a block never mixes lines from
     different frames) and mapped back.
     """
+    extract_params = extract_params or ExtractParams()
     block_params = block_params or BlockParams()
     if set(maps_by_turn) != {0, 1, 3}:
         raise ValueError("maps_by_turn must provide turns 0, 1 and 3")
@@ -142,7 +143,7 @@ def detect_multi_orientation(
         back = (4 - t) % 4
         for blk in cluster_blocks(frame_lines, maps_by_turn[t], block_params):
             if merge:
-                blk = merge_block_lines(blk, block_params)
+                blk = merge_block_lines(blk, block_params, extract_params.max_control_points)
             blocks.append(rotate_block(blk, frame_size, back))
 
     def block_key(b: TextBlock):

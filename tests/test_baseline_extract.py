@@ -89,11 +89,28 @@ class TestConnectedComponents:
 
     def test_other_window_sizes(self):
         rng = np.random.default_rng(7)
-        for cc_w, cc_h in [(1, 3), (3, 3), (7, 5), (5, 1)]:
-            for _ in range(10):
-                fg = rng.uniform(size=(12, 12)) < 0.3
-                got = self.to_partition(connected_components(fg, cc_w, cc_h))
-                assert got == connected_components_oracle(fg, cc_w, cc_h)
+        for cc_w, cc_h in [(1, 3), (3, 3), (7, 5), (5, 1), (4, 6), (6, 4), (1, 9), (1, 1)]:
+            for shape in [(12, 12), (1, 12), (12, 1)]:
+                for _ in range(10):
+                    fg = rng.uniform(size=shape) < 0.3
+                    got = self.to_partition(connected_components(fg, cc_w, cc_h))
+                    assert got == connected_components_oracle(fg, cc_w, cc_h)
+            fg = np.ones((7, 9), bool)
+            got = self.to_partition(connected_components(fg, cc_w, cc_h))
+            assert got == connected_components_oracle(fg, cc_w, cc_h)
+
+    def test_output_order(self):
+        """Components by (top row, left column), pixels in raster order."""
+        rng = np.random.default_rng(8)
+        for _ in range(30):
+            fg = rng.uniform(size=(24, 24)) < 0.15
+            comps = connected_components(fg, 5, 9)
+            keys = [(int(rows.min()), int(cols.min())) for rows, cols in comps]
+            assert keys == sorted(keys)
+            for rows, cols in comps:
+                raster = rows * fg.shape[1] + cols
+                assert (np.diff(raster) > 0).all()
+                assert rows[0] == rows.min()
 
     def test_bridges_small_gaps(self):
         fg = np.zeros((3, 10), bool)

@@ -1,10 +1,13 @@
 import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from pagelayout.baselines import ExtractParams
+from pagelayout.blocks import BlockParams
 from pagelayout.channels import ChannelMaps, write_maps
-from pagelayout.cli import main
+from pagelayout.cli import _params_from_args, build_parser, main
 from pagelayout.layout import load_layout
 
 
@@ -93,6 +96,23 @@ class TestSubcommands:
         est = json.loads(capsys.readouterr().out)
         assert est["target_ascender"] == 12.0
         assert est["scale_factor"] == pytest.approx(2.0, rel=0.02)
+
+
+class TestParamFlags:
+    def parse(self, *flags):
+        return _params_from_args(build_parser().parse_args(["detect", *flags]))
+
+    def test_defaults_are_the_dataclass_defaults(self):
+        assert self.parse() == (ExtractParams(), BlockParams())
+
+    def test_each_flag_sets_its_own_field(self):
+        for cls, index in ((ExtractParams, 0), (BlockParams, 1)):
+            for f in fields(cls):
+                value = f.default + (2 if isinstance(f.default, int) else 0.25)
+                got = self.parse("--" + f.name.replace("_", "-"), str(value))
+                want = [ExtractParams(), BlockParams()]
+                want[index] = replace(want[index], **{f.name: value})
+                assert got == tuple(want), f.name
 
 
 class TestErrors:

@@ -241,6 +241,13 @@ class TestMergeBlockLines:
         assert line.baseline.points[-1, 0] == pytest.approx(60.0)
         assert len(line.baseline.points) <= 10
 
+    def test_merged_baseline_honours_max_control_points(self):
+        f0 = make_line("f0", 5, 30, 16, 8.0, 3.0)
+        f1 = make_line("f1", 35, 60, 16, 8.0, 3.0)
+        merged = merge_block_lines(make_block("b0", [f0, f1]), BlockParams(), max_control_points=3)
+        assert len(merged.lines) == 1
+        assert len(merged.lines[0].baseline.points) <= 3
+
     def test_stacked_lines_never_merge(self):
         l0 = make_line("l0", 5, 50, 16, 8.0, 3.0)
         l1 = make_line("l1", 5, 50, 26, 6.5, 3.5)
