@@ -2,6 +2,13 @@
 
 All masks are computed against pixel centers on the integer grid, which
 keeps rendering equivariant under the 90-degree rotations used elsewhere.
+
+Shapes are rasterized inside their own window: ``stroke_window``,
+``disk_window`` and ``polygon_window`` return ``(window, mask)`` where
+``window`` is a ``(row slice, column slice)`` pair clipped to the frame and
+``mask`` covers exactly that window, so ``frame[window][mask] = value``
+paints the shape without a full-frame temporary.  A shape the frame clips
+to nothing gets an empty window and a 0x0 mask.
 """
 
 from __future__ import annotations
@@ -22,54 +29,65 @@ def _segment_distance_grid(p, q, cols: np.ndarray, rows: np.ndarray) -> np.ndarr
     return np.hypot(cc - (px + t * dx), rr - (py + t * dy))
 
 
-def stroke_mask(points: np.ndarray, shape: tuple[int, int], thickness: float) -> np.ndarray:
+Window = tuple[slice, slice]
+
+
+def _empty_window() -> tuple[Window, np.ndarray]:
+    return (slice(0, 0), slice(0, 0)), np.zeros((0, 0), dtype=bool)
+
+
+def stroke_window(points: np.ndarray, shape: tuple[int, int], thickness: float) -> tuple[Window, np.ndarray]:
     """Pixels whose center lies within thickness/2 of the polyline."""
     h, w = shape
-    mask = np.zeros((h, w), dtype=bool)
     half = thickness / 2.0
     pts = np.asarray(points, dtype=np.float64)
+    boxes = []
     for p, q in zip(pts[:-1], pts[1:]):
         x0 = max(0, int(np.floor(min(p[0], q[0]) - half - 1)))
         x1 = min(w - 1, int(np.ceil(max(p[0], q[0]) + half + 1)))
         y0 = max(0, int(np.floor(min(p[1], q[1]) - half - 1)))
         y1 = min(h - 1, int(np.ceil(max(p[1], q[1]) + half + 1)))
-        if x1 < x0 or y1 < y0:
-            continue
+        if x1 >= x0 and y1 >= y0:
+            boxes.append((p, q, x0, x1, y0, y1))
+    if not boxes:
+        return _empty_window()
+    wx0 = min(b[2] for b in boxes)
+    wx1 = max(b[3] for b in boxes)
+    wy0 = min(b[4] for b in boxes)
+    wy1 = max(b[5] for b in boxes)
+    mask = np.zeros((wy1 - wy0 + 1, wx1 - wx0 + 1), dtype=bool)
+    for p, q, x0, x1, y0, y1 in boxes:
         cols = np.arange(x0, x1 + 1)
         rows = np.arange(y0, y1 + 1)
         d = _segment_distance_grid(p, q, cols, rows)
-        mask[y0 : y1 + 1, x0 : x1 + 1] |= d <= half
-    return mask
+        mask[y0 - wy0 : y1 - wy0 + 1, x0 - wx0 : x1 - wx0 + 1] |= d <= half
+    return (slice(wy0, wy1 + 1), slice(wx0, wx1 + 1)), mask
 
 
-def disk_mask(center, radius: float, shape: tuple[int, int]) -> np.ndarray:
+def disk_window(center, radius: float, shape: tuple[int, int]) -> tuple[Window, np.ndarray]:
     h, w = shape
     cx, cy = float(center[0]), float(center[1])
-    mask = np.zeros((h, w), dtype=bool)
     x0 = max(0, int(np.floor(cx - radius - 1)))
     x1 = min(w - 1, int(np.ceil(cx + radius + 1)))
     y0 = max(0, int(np.floor(cy - radius - 1)))
     y1 = min(h - 1, int(np.ceil(cy + radius + 1)))
     if x1 < x0 or y1 < y0:
-        return mask
+        return _empty_window()
     cc, rr = np.meshgrid(np.arange(x0, x1 + 1), np.arange(y0, y1 + 1))
-    mask[y0 : y1 + 1, x0 : x1 + 1] = np.hypot(cc - cx, rr - cy) <= radius
-    return mask
+    return (slice(y0, y1 + 1), slice(x0, x1 + 1)), np.hypot(cc - cx, rr - cy) <= radius
 
 
-def polygon_mask(ring: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+def polygon_window(ring: np.ndarray, shape: tuple[int, int]) -> tuple[Window, np.ndarray]:
     """Even-odd scanline fill of a simple polygon over pixel centers."""
     h, w = shape
-    mask = np.zeros((h, w), dtype=bool)
     ring = np.asarray(ring, dtype=np.float64)
     ys = ring[:, 1]
     r0 = max(0, int(np.ceil(ys.min())))
     r1 = min(h - 1, int(np.floor(ys.max())))
-    if r1 < r0:
-        return mask
     nxt = np.roll(ring, -1, axis=0)
     x1s, y1s = ring[:, 0], ring[:, 1]
     x2s, y2s = nxt[:, 0], nxt[:, 1]
+    spans = []  # (row, first column, last column)
     for r in range(r0, r1 + 1):
         y = float(r)
         straddle = ((y1s <= y) & (y < y2s)) | ((y2s <= y) & (y < y1s))
@@ -81,8 +99,16 @@ def polygon_mask(ring: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
             c0 = max(0, int(np.ceil(xs[i] - 1e-9)))
             c1 = min(w - 1, int(np.floor(xs[i + 1] + 1e-9)))
             if c1 >= c0:
-                mask[r, c0 : c1 + 1] = True
-    return mask
+                spans.append((r, c0, c1))
+    if not spans:
+        return _empty_window()
+    wy0, wy1 = spans[0][0], spans[-1][0]
+    wx0 = min(s[1] for s in spans)
+    wx1 = max(s[2] for s in spans)
+    mask = np.zeros((wy1 - wy0 + 1, wx1 - wx0 + 1), dtype=bool)
+    for r, c0, c1 in spans:
+        mask[r - wy0, c0 - wx0 : c1 - wx0 + 1] = True
+    return (slice(wy0, wy1 + 1), slice(wx0, wx1 + 1)), mask
 
 
 def cumulative_lengths(points: np.ndarray) -> np.ndarray:

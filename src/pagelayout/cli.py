@@ -40,28 +40,40 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(f"{message}\n{self.format_usage()}")
 
 
-def _range_pair(text: str, cast=float) -> tuple:
-    parts = text.split(":")
-    if len(parts) == 1:
-        parts = [parts[0], parts[0]]
-    if len(parts) != 2:
-        raise CliError(f"expected LO:HI, got {text!r}")
-    return (cast(parts[0]), cast(parts[1]))
+def _range_type(cast):
+    """argparse type for ``LO:HI`` (or one value for both) parsed with ``cast``."""
+
+    def parse(text: str) -> tuple:
+        parts = text.split(":")
+        if len(parts) == 1:
+            parts = [parts[0], parts[0]]
+        if len(parts) != 2:
+            raise CliError(f"expected LO:HI, got {text!r}")
+        return (cast(parts[0]), cast(parts[1]))
+
+    parse.__name__ = f"{cast.__name__} range"
+    return parse
 
 
-def _add_param_flags(p: argparse.ArgumentParser):
-    """One flag per ExtractParams/BlockParams field, named and defaulted after it."""
-    g = p.add_argument_group("extraction parameters")
-    for cls in (ExtractParams, BlockParams):
+def _add_field_flags(p: argparse.ArgumentParser, title: str, *classes, skip: tuple[str, ...] = ()):
+    """One flag per dataclass field, named and defaulted after it; tuples parse as LO:HI."""
+    g = p.add_argument_group(title)
+    for cls in classes:
         for f in fields(cls):
-            g.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
+            if f.name in skip:
+                continue
+            kw = {"type": type(f.default)}
+            if isinstance(f.default, tuple):
+                kw = {"type": _range_type(type(f.default[0])), "metavar": "LO:HI"}
+            g.add_argument("--" + f.name.replace("_", "-"), default=f.default, **kw)
+
+
+def _from_args(cls, args):
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
 
 
 def _params_from_args(args) -> tuple[ExtractParams, BlockParams]:
-    def build(cls):
-        return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
-
-    return build(ExtractParams), build(BlockParams)
+    return _from_args(ExtractParams, args), _from_args(BlockParams, args)
 
 
 def build_parser() -> _Parser:
@@ -74,13 +86,7 @@ def build_parser() -> _Parser:
     p.add_argument("--maps", help="also write rendered GT detection maps (.pncm)")
     p.add_argument("--orient-maps", help="also write rendered GT orientation maps (.pncm)")
     p.add_argument("--maps-rotated", help="prefix: write <prefix>.{0,90,270}.pncm rotated detection maps")
-    p.add_argument("--page-size", type=lambda s: _range_pair(s, int), default=(576, 768), help="H:W")
-    p.add_argument("--columns", type=lambda s: _range_pair(s, int), default=(1, 3))
-    p.add_argument("--lines-per-block", type=lambda s: _range_pair(s, int), default=(2, 5))
-    p.add_argument("--ascender-range", type=_range_pair, default=(8.0, 24.0))
-    p.add_argument("--descender-ratio", type=_range_pair, default=(0.2, 0.5))
-    p.add_argument("--vertical-line-prob", type=float, default=0.0)
-    p.add_argument("--baseline-jitter", type=float, default=0.0)
+    _add_field_flags(p, "generator parameters (--page-size is H:W)", SynthConfig, skip=("seed",))
     p.add_argument("--noise-sigma", type=float, default=0.0)
     p.add_argument("--blur", type=int, default=1)
     p.add_argument("--dropout", type=float, default=0.0)
@@ -90,9 +96,7 @@ def build_parser() -> _Parser:
     p.add_argument("--layout", required=True)
     p.add_argument("--maps", required=True, help="detection maps output (.pncm)")
     p.add_argument("--orient-maps", help="orientation maps output (.pncm)")
-    p.add_argument("--baseline-thickness", type=float, default=3.0)
-    p.add_argument("--endpoint-radius", type=float, default=3.0)
-    p.add_argument("--block-boundary-thickness", type=float, default=3.0)
+    _add_field_flags(p, "render parameters", RenderParams)
 
     p = sub.add_parser("detect", help="extract a layout from channel maps")
     p.add_argument("--maps", help="detection maps input (.pncm)")
@@ -107,7 +111,7 @@ def build_parser() -> _Parser:
     p.add_argument("--no-line-merge", action="store_true", help="disable in-block line merging")
     p.add_argument("--report-scale", action="store_true", help="print the scale estimate as JSON")
     p.add_argument("--scale-threshold", type=float, default=0.3)
-    _add_param_flags(p)
+    _add_field_flags(p, "extraction parameters", ExtractParams, BlockParams)
 
     p = sub.add_parser("loss", help="training-objective breakdown between two map stacks")
     p.add_argument("pred")
@@ -139,17 +143,7 @@ def _read_orientation(path: str) -> OrientationMaps:
 
 
 def _cmd_synth(args) -> int:
-    cfg = SynthConfig(
-        seed=args.seed,
-        page_size=args.page_size,
-        columns=args.columns,
-        lines_per_block=args.lines_per_block,
-        ascender_range=args.ascender_range,
-        descender_ratio=args.descender_ratio,
-        vertical_line_prob=args.vertical_line_prob,
-        baseline_jitter=args.baseline_jitter,
-    )
-    layout = generate(cfg)
+    layout = generate(_from_args(SynthConfig, args))
     Path(args.out).write_bytes(save_layout(layout))
     needs_maps = args.maps or args.maps_rotated
     if needs_maps:
@@ -168,8 +162,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_render_gt(args) -> int:
     layout = load_layout(Path(args.layout).read_bytes())
-    params = RenderParams(args.baseline_thickness, args.endpoint_radius, args.block_boundary_thickness)
-    Path(args.maps).write_bytes(write_maps(render_gt(layout, params)))
+    Path(args.maps).write_bytes(write_maps(render_gt(layout, _from_args(RenderParams, args))))
     if args.orient_maps:
         Path(args.orient_maps).write_bytes(write_maps(render_orientation_gt(layout)))
     return 0

@@ -35,24 +35,36 @@ def _segments(lines: list[Polyline]) -> np.ndarray:
 
 
 def _coverage(sources: list[Polyline], targets: list[Polyline], tolerance: float) -> float:
-    """Fraction of 1 px samples of ``sources`` within tolerance of ``targets``."""
+    """Fraction of 1 px samples of ``sources`` within tolerance of ``targets``.
+
+    Samples are sorted by y once.  Each target segment only tests the
+    samples inside its bounding box grown by the tolerance (a y-slice found
+    by binary search, then an x filter) that no earlier segment covered.
+    The box holds every sample the exact point-segment distance can accept,
+    so the result equals testing all sample-segment pairs.
+    """
     if not targets:
         return 0.0
     pts = np.concatenate([sample_polyline(line.points, 1.0) for line in sources])
+    order = np.argsort(pts[:, 1])
+    ys = pts[order, 1]
     segs = _segments(targets)
-    p = segs[:, 0]
     d = segs[:, 1] - segs[:, 0]
     l2 = np.maximum((d * d).sum(axis=1), 1e-18)
+    lo = segs.min(axis=1) - (tolerance + 1e-6)
+    hi = segs.max(axis=1) + (tolerance + 1e-6)
     covered = np.zeros(len(pts), dtype=bool)
-    chunk = 4096
-    for i in range(0, len(pts), chunk):
-        q = pts[i : i + chunk]
-        t = ((q[:, None, 0] - p[None, :, 0]) * d[None, :, 0] + (q[:, None, 1] - p[None, :, 1]) * d[None, :, 1]) / l2
-        t = np.clip(t, 0.0, 1.0)
-        cx = p[None, :, 0] + t * d[None, :, 0]
-        cy = p[None, :, 1] + t * d[None, :, 1]
-        dist = np.hypot(q[:, None, 0] - cx, q[:, None, 1] - cy)
-        covered[i : i + chunk] = dist.min(axis=1) <= tolerance
+    for k in range(len(segs)):
+        idx = order[np.searchsorted(ys, lo[k, 1], "left") : np.searchsorted(ys, hi[k, 1], "right")]
+        qx = pts[idx, 0]
+        idx = idx[(qx >= lo[k, 0]) & (qx <= hi[k, 0]) & ~covered[idx]]
+        if not len(idx):
+            continue
+        q = pts[idx]
+        p = segs[k, 0]
+        t = np.clip(((q[:, 0] - p[0]) * d[k, 0] + (q[:, 1] - p[1]) * d[k, 1]) / l2[k], 0.0, 1.0)
+        dist = np.hypot(q[:, 0] - (p[0] + t * d[k, 0]), q[:, 1] - (p[1] + t * d[k, 1]))
+        covered[idx[dist <= tolerance]] = True
     return float(covered.mean())
 
 

@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ._raster import polygon_mask
+from ._raster import polygon_window
 from .baselines import ExtractParams, detect_baselines
 from .blocks import BlockParams, cluster_blocks, line_polygon, merge_block_lines
 from .channels import ChannelMaps, OrientationMaps
@@ -43,11 +43,11 @@ def angular_distance(a: float, b: float) -> float:
 
 def estimate_line_angle(line: TextLine, omaps: OrientationMaps) -> OrientationEstimate:
     """Componentwise medians of the orientation field over the line polygon."""
-    mask = polygon_mask(line.polygon.ring, omaps.shape)
+    sl, mask = polygon_window(line.polygon.ring, omaps.shape)
     if not mask.any():
         raise ValueError("empty polygon")
-    x_med = float(np.median(omaps.ox[mask]))
-    y_med = float(np.median(omaps.oy[mask]))
+    x_med = float(np.median(omaps.ox[sl][mask]))
+    y_med = float(np.median(omaps.oy[sl][mask]))
     return OrientationEstimate(math.degrees(math.atan2(y_med, x_med)), x_med, y_med)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._raster import disk_mask, polygon_mask, stroke_mask
+from ._raster import disk_window, polygon_window, stroke_window
 from .channels import ChannelMaps, OrientationMaps
 from .layout import PageLayout
 
@@ -52,19 +52,21 @@ def render_gt(layout: PageLayout, params: RenderParams | None = None) -> Channel
     for blk in layout.blocks:
         ring = blk.polygon.ring
         closed = np.vstack([ring, ring[:1]])
-        block[stroke_mask(closed, (h, w), params.block_boundary_thickness)] = 1.0
+        sl, m = stroke_window(closed, (h, w), params.block_boundary_thickness)
+        block[sl][m] = 1.0
 
     for blk in layout.blocks:
         for line in blk.lines:
-            m = stroke_mask(line.baseline.points, (h, w), params.baseline_thickness)
-            if (m & assigned).any():
+            sl, m = stroke_window(line.baseline.points, (h, w), params.baseline_thickness)
+            if (m & assigned[sl]).any():
                 logger.warning("overlapping baseline pixels on page %r; later line %r wins", layout.page_id, line.id)
-            base[m] = 1.0
-            asc[m] = line.ascender
-            des[m] = line.descender
-            assigned |= m
+            base[sl][m] = 1.0
+            asc[sl][m] = line.ascender
+            des[sl][m] = line.descender
+            assigned[sl] |= m
             for p in (line.baseline.points[0], line.baseline.points[-1]):
-                end[disk_mask(p, params.endpoint_radius, (h, w))] = 1.0
+                sl, m = disk_window(p, params.endpoint_radius, (h, w))
+                end[sl][m] = 1.0
 
     return ChannelMaps(base, end, asc, des, block)
 
@@ -78,12 +80,14 @@ def render_orientation_gt(layout: PageLayout) -> OrientationMaps:
 
     for blk in layout.blocks:
         for line in blk.lines:
-            mask = polygon_mask(line.polygon.ring, (h, w))
+            sl, mask = polygon_window(line.polygon.ring, (h, w))
             if not mask.any():
                 continue
-            if (mask & filled).any():
+            if (mask & filled[sl]).any():
                 logger.warning("overlapping line polygons on page %r; later line %r wins", layout.page_id, line.id)
             rows, cols = np.nonzero(mask)
+            rows += sl[0].start
+            cols += sl[1].start
             pts = line.baseline.points
             segs_p = pts[:-1]
             segs_q = pts[1:]
@@ -100,6 +104,6 @@ def render_orientation_gt(layout: PageLayout) -> OrientationMaps:
                 best_i[closer] = i
             ox[rows, cols] = units[best_i, 0].astype(np.float32)
             oy[rows, cols] = units[best_i, 1].astype(np.float32)
-            filled |= mask
+            filled[sl] |= mask
 
     return OrientationMaps(ox, oy)

@@ -208,17 +208,16 @@ def corrupt(
         mean_w = 4.0
         q = min(1.0, dropout_prob / (mean_w - (mean_w - 1.0) * dropout_prob))
         fg = chans["base"] > 0.5
-        labels, n_labels = ndimage.label(fg, structure=np.ones((3, 3), dtype=bool))
-        for lab in range(1, n_labels + 1):
-            comp = labels == lab
-            cols = np.nonzero(comp.any(axis=0))[0]
-            c = int(cols.min())
-            c_hi = int(cols.max())
-            while c <= c_hi:
+        labels, _ = ndimage.label(fg, structure=np.ones((3, 3), dtype=bool))
+        # Each stroke is torn inside its own bounding box, left to right.
+        for lab, (rows, cols) in enumerate(ndimage.find_objects(labels), start=1):
+            comp = labels[rows, cols] == lab
+            base = chans["base"][rows, cols]
+            c = 0
+            while c < comp.shape[1]:
                 if rng.uniform() < q:
                     run = rng.randint(2, 6)
-                    sel = comp[:, c : c + run]
-                    chans["base"][:, c : c + run][sel] = 0.0
+                    base[:, c : c + run][comp[:, c : c + run]] = 0.0
                     c += run
                 else:
                     c += 1

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy import ndimage
 
 
 def box_mean_oracle(arr: np.ndarray, size: int) -> np.ndarray:
@@ -211,3 +212,110 @@ def rotate_index_oracle(h: int, w: int, turns: int):
         return (c, h - 1 - r)
 
     return fn
+
+
+def _point_segment_distance(x, y, p, q) -> float:
+    dx, dy = q[0] - p[0], q[1] - p[1]
+    l2 = dx * dx + dy * dy
+    t = 0.0 if l2 == 0 else max(0.0, min(1.0, ((x - p[0]) * dx + (y - p[1]) * dy) / l2))
+    return float(np.hypot(x - (p[0] + t * dx), y - (p[1] + t * dy)))
+
+
+def coverage_oracle(sources, targets, tolerance: float) -> float:
+    """Share of 1 px arc-length samples of ``sources`` within tolerance of any target segment."""
+    if not targets:
+        return 0.0
+    samples = []
+    for pts in sources:
+        pts = [(float(x), float(y)) for x, y in pts]
+        segs = list(zip(pts[:-1], pts[1:]))
+        lens = [math.hypot(b[0] - a[0], b[1] - a[1]) for a, b in segs]
+        total = sum(lens)
+        positions = [float(k) for k in range(math.ceil(total))]
+        if total - (positions[-1] if positions else 0.0) > 1e-9:
+            positions.append(total)
+        for s in positions:
+            start = 0.0
+            for i, ((a, b), length) in enumerate(zip(segs, lens)):
+                if s <= start + length or i == len(segs) - 1:
+                    f = min(1.0, (s - start) / length)
+                    samples.append((a[0] + f * (b[0] - a[0]), a[1] + f * (b[1] - a[1])))
+                    break
+                start += length
+    covered = 0
+    for x, y in samples:
+        if any(
+            _point_segment_distance(x, y, p, q) <= tolerance
+            for pts in targets
+            for p, q in zip(pts[:-1], pts[1:])
+        ):
+            covered += 1
+    return covered / len(samples)
+
+
+def stroke_pixels_oracle(points, shape, thickness: float) -> np.ndarray:
+    """Full-frame mask of pixel centers within thickness/2 of the polyline, pixel by pixel."""
+    h, w = shape
+    out = np.zeros((h, w), dtype=bool)
+    pts = [(float(x), float(y)) for x, y in points]
+    for r in range(h):
+        for c in range(w):
+            out[r, c] = any(
+                _point_segment_distance(float(c), float(r), p, q) <= thickness / 2.0
+                for p, q in zip(pts[:-1], pts[1:])
+            )
+    return out
+
+
+def disk_pixels_oracle(center, radius: float, shape) -> np.ndarray:
+    h, w = shape
+    out = np.zeros((h, w), dtype=bool)
+    for r in range(h):
+        for c in range(w):
+            out[r, c] = float(np.hypot(c - float(center[0]), r - float(center[1]))) <= radius
+    return out
+
+
+def polygon_pixels_oracle(ring, shape) -> np.ndarray:
+    """Full-frame even-odd crossing test at every pixel center."""
+    h, w = shape
+    ring = [(float(x), float(y)) for x, y in ring]
+    n = len(ring)
+    out = np.zeros((h, w), dtype=bool)
+    for r in range(h):
+        for c in range(w):
+            inside = False
+            for i in range(n):
+                x1, y1 = ring[i]
+                x2, y2 = ring[(i + 1) % n]
+                if (y1 <= r < y2) or (y2 <= r < y1):
+                    if c < x1 + (r - y1) / (y2 - y1) * (x2 - x1):
+                        inside = not inside
+            out[r, c] = inside
+    return out
+
+
+def dropout_oracle(base: np.ndarray, dropout_prob: float, rng_seed: int) -> np.ndarray:
+    """Column-run dropout of ``corrupt`` with a full-frame mask per stroke.
+
+    Uses the library's splitmix64 stream, since which columns tear is
+    defined by its draws; everything else is the plain full-frame loop.
+    """
+    from pagelayout._rng import Rng
+
+    rng = Rng(rng_seed)
+    out = np.asarray(base, dtype=np.float64).copy()
+    q = min(1.0, dropout_prob / (4.0 - 3.0 * dropout_prob))
+    labels, n_labels = ndimage.label(out > 0.5, structure=np.ones((3, 3), dtype=bool))
+    for lab in range(1, n_labels + 1):
+        comp = labels == lab
+        cols = np.nonzero(comp.any(axis=0))[0]
+        c, c_hi = int(cols.min()), int(cols.max())
+        while c <= c_hi:
+            if rng.uniform() < q:
+                run = rng.randint(2, 6)
+                out[:, c : c + run][comp[:, c : c + run]] = 0.0
+                c += run
+            else:
+                c += 1
+    return out.astype(np.float32)

@@ -68,9 +68,13 @@ def test_criterion_2_noisy_round_trip():
         pred = extract_page(maps)
         rows.append(evaluate(pred, layout))
     agg = build_report(rows).aggregate
-    fb, fk = agg["baseline"]["f"], agg["block"]["f"]
+    fb, fl, fk = agg["baseline"]["f"], agg["line"]["f"], agg["block"]["f"]
     ok = fb >= 0.95 and fk >= 0.90
-    report("criterion 2 (noisy round-trip)", ok, f"baseline F={fb:.4f} (>=0.95), block F={fk:.4f} (>=0.90)")
+    report(
+        "criterion 2 (noisy round-trip)",
+        ok,
+        f"baseline F={fb:.4f} (>=0.95), line F={fl:.4f} (not gated), block F={fk:.4f} (>=0.90)",
+    )
     assert fb >= 0.95
     assert fk >= 0.90
 

@@ -8,7 +8,9 @@ from pagelayout.baselines import ExtractParams
 from pagelayout.blocks import BlockParams
 from pagelayout.channels import ChannelMaps, write_maps
 from pagelayout.cli import _params_from_args, build_parser, main
-from pagelayout.layout import load_layout
+from pagelayout.layout import load_layout, save_layout
+from pagelayout.render import RenderParams, render_gt
+from pagelayout.synth import SynthConfig, generate
 
 
 def run(args):
@@ -44,6 +46,14 @@ class TestSubcommands:
         assert run(["detect", "--maps", maps, "--out", out]) == 0
         layout = load_layout(out.read_bytes())
         assert layout.blocks == []
+
+    def test_synth_defaults_match_library(self, tmp_path):
+        layout = tmp_path / "l.json"
+        maps = tmp_path / "m.pncm"
+        assert run(["synth", "--seed", 3, "--out", layout, "--maps", maps]) == 0
+        expected = generate(SynthConfig(seed=3))
+        assert layout.read_bytes() == save_layout(expected)
+        assert maps.read_bytes() == write_maps(render_gt(expected, RenderParams()))
 
     def test_render_gt_matches_synth_maps(self, tmp_path):
         layout = tmp_path / "l.json"

@@ -7,7 +7,7 @@ from pagelayout.metrics import build_report, evaluate, f_value, match_baselines,
 from pagelayout.synth import SynthConfig, generate
 
 from conftest import make_block, make_line, make_page
-from oracles import greedy_match_oracle, rect_iou_oracle
+from oracles import coverage_oracle, greedy_match_oracle, rect_iou_oracle
 
 
 def rect(x0, y0, x1, y1):
@@ -41,7 +41,40 @@ class TestMatchBaselines:
         gt = [Polyline([[0, 10], [100, 10]])]
         pred = [Polyline([[0, 13], [100, 13]])]  # 3 px below
         assert match_baselines(pred, gt, tolerance=2.0)[2] == 0.0
+        assert match_baselines(pred, gt, tolerance=3.0)[2] == 1.0  # exactly at the tolerance
         assert match_baselines(pred, gt, tolerance=4.0)[2] == 1.0
+
+    def test_matches_coverage_oracle_on_random_polylines(self):
+        rng = np.random.default_rng(7)
+
+        def random_line():
+            x0, y0 = rng.uniform(-10, 90, 2)
+            length = rng.uniform(1.5, 60)
+            kind = rng.integers(4)
+            if kind == 0:  # horizontal
+                pts = [[x0, y0], [x0 + length, y0]]
+            elif kind == 1:  # vertical
+                pts = [[x0, y0], [x0, y0 + length]]
+            elif kind == 2:  # diagonal
+                a = rng.uniform(0, 2 * np.pi)
+                pts = [[x0, y0], [x0 + length * np.cos(a), y0 + length * np.sin(a)]]
+            else:  # multi-point
+                pts = np.array([x0, y0]) + np.cumsum(rng.uniform(-15, 15, (int(rng.integers(3, 7)), 2)), axis=0)
+            return Polyline(pts)
+
+        for _ in range(100):
+            gt = [random_line() for _ in range(int(rng.integers(1, 6)))]
+            tol = float(rng.uniform(0.5, 12.0))
+            # half near-copies of gt lines, half unrelated lines
+            pred = [
+                Polyline(g.points + rng.uniform(-1.5 * tol, 1.5 * tol, 2)) if rng.uniform() < 0.5 else random_line()
+                for g in gt
+            ]
+            p, r, _ = match_baselines(pred, gt, tol)
+            pred_pts = [line.points for line in pred]
+            gt_pts = [line.points for line in gt]
+            assert p == coverage_oracle(pred_pts, gt_pts, tol)
+            assert r == coverage_oracle(gt_pts, pred_pts, tol)
 
 
 class TestMatchPolygons:

@@ -6,6 +6,7 @@ from pagelayout.render import RenderParams, render_gt, render_orientation_gt
 from pagelayout.synth import SynthConfig, generate
 
 from conftest import make_block, make_line, make_page
+from oracles import polygon_pixels_oracle
 
 
 def segment_distance(px, py, x0, y0, x1, y1):
@@ -96,6 +97,18 @@ class TestRenderOrientation:
         inside = (omaps.ox != 0) | (omaps.oy != 0)
         assert np.allclose(omaps.ox[inside], np.cos(ang), atol=1e-3)
         assert np.allclose(omaps.oy[inside], np.sin(ang), atol=1e-3)
+
+    def test_support_is_the_polygon_fill(self):
+        from pagelayout.blocks import polygon_from_baseline
+        from pagelayout.geometry import Polyline
+        from pagelayout.layout import TextBlock, TextLine
+
+        pts = np.array([[17.3, 21.6], [40.2, 30.9], [52.7, 26.4]])
+        line = TextLine("l0", Polyline(pts), 6.5, 2.5, polygon_from_baseline(pts, 6.5, 2.5))
+        page = make_page([TextBlock("b0", [line], line.polygon)], height=48, width=64)
+        omaps = render_orientation_gt(page)
+        inside = (omaps.ox != 0) | (omaps.oy != 0)
+        assert np.array_equal(inside, polygon_pixels_oracle(line.polygon.ring, (48, 64)))
 
     def test_unit_norm_at_nonzero_pixels(self):
         layout = generate(SynthConfig(seed=2, page_size=(256, 320), vertical_line_prob=1.0))

@@ -1,0 +1,140 @@
+import math
+
+import numpy as np
+import pytest
+
+from pagelayout._raster import disk_window, polygon_window, stroke_window
+from pagelayout.blocks import polygon_from_baseline
+from pagelayout.channels import OrientationMaps
+from pagelayout.geometry import Polyline
+from pagelayout.layout import TextLine
+from pagelayout.orient import estimate_line_angle
+
+from oracles import disk_pixels_oracle, polygon_pixels_oracle, stroke_pixels_oracle
+
+SHAPE = (24, 32)
+
+
+def paste(window, mask, shape=SHAPE):
+    """Full frame holding ``mask`` at ``window``, after checking the window fits it."""
+    rows, cols = window
+    assert mask.dtype == bool
+    assert 0 <= rows.start <= rows.stop <= shape[0]
+    assert 0 <= cols.start <= cols.stop <= shape[1]
+    assert mask.shape == (rows.stop - rows.start, cols.stop - cols.start)
+    frame = np.zeros(shape, dtype=bool)
+    frame[window] = mask
+    return frame
+
+
+def star_ring(rng, cx, cy, r_lo, r_hi):
+    """Simple polygon: random radii at sorted random angles around a center."""
+    n = int(rng.integers(3, 10))
+    ang = np.sort(rng.uniform(0, 2 * math.pi, n))
+    rad = rng.uniform(r_lo, r_hi, n)
+    return np.stack([cx + rad * np.cos(ang), cy + rad * np.sin(ang)], axis=1)
+
+
+class TestStrokeWindow:
+    def test_random_polylines_match_pixel_oracle(self):
+        rng = np.random.default_rng(0)
+        h, w = SHAPE
+        for _ in range(60):
+            n = int(rng.integers(2, 6))
+            pts = np.stack([rng.uniform(-12, w + 12, n), rng.uniform(-12, h + 12, n)], axis=1)
+            thickness = float(rng.choice([1.0, 3.0, 5.5]))
+            got = paste(*stroke_window(pts, SHAPE, thickness))
+            assert np.array_equal(got, stroke_pixels_oracle(pts, SHAPE, thickness))
+
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            [[-20.0, 5.0], [-8.0, 10.0]],  # left of the frame
+            [[5.0, -30.0], [25.0, -9.5]],  # above
+            [[40.0, 30.0], [60.0, 50.0]],  # below right
+        ],
+    )
+    def test_wholly_outside_is_empty(self, pts):
+        window, mask = stroke_window(np.array(pts), SHAPE, 3.0)
+        assert mask.size == 0
+        assert not paste(window, mask).any()
+
+    def test_crossing_the_edge_is_clipped(self):
+        pts = np.array([[-6.3, 4.2], [12.1, -3.7], [40.2, 20.6]])
+        window, mask = stroke_window(pts, SHAPE, 3.0)
+        got = paste(window, mask)
+        assert got.any()
+        assert np.array_equal(got, stroke_pixels_oracle(pts, SHAPE, 3.0))
+
+
+class TestDiskWindow:
+    def test_random_disks_match_pixel_oracle(self):
+        rng = np.random.default_rng(1)
+        h, w = SHAPE
+        for _ in range(60):
+            center = (float(rng.uniform(-8, w + 8)), float(rng.uniform(-8, h + 8)))
+            radius = float(rng.uniform(1.0, 6.0))
+            got = paste(*disk_window(center, radius, SHAPE))
+            assert np.array_equal(got, disk_pixels_oracle(center, radius, SHAPE))
+
+    def test_wholly_outside_is_empty(self):
+        window, mask = disk_window((-10.0, 5.0), 3.0, SHAPE)
+        assert mask.size == 0
+        assert not paste(window, mask).any()
+
+
+class TestPolygonWindow:
+    def test_random_polygons_match_pixel_oracle(self):
+        rng = np.random.default_rng(2)
+        h, w = SHAPE
+        for _ in range(60):
+            ring = star_ring(rng, rng.uniform(-6, w + 6), rng.uniform(-6, h + 6), 2.0, 14.0)
+            got = paste(*polygon_window(ring, SHAPE))
+            assert np.array_equal(got, polygon_pixels_oracle(ring, SHAPE))
+
+    def test_wholly_outside_is_empty(self):
+        rng = np.random.default_rng(3)
+        for cx, cy in ((-30.0, 10.0), (10.0, -30.0), (60.0, 10.0), (10.0, 50.0)):
+            window, mask = polygon_window(star_ring(rng, cx, cy, 3.0, 9.0), SHAPE)
+            assert mask.size == 0
+            assert not paste(window, mask).any()
+
+    def test_frame_covering_polygon_fills_everything(self):
+        ring = np.array([[-5.5, -4.5], [40.5, -4.5], [40.5, 30.5], [-5.5, 30.5]])
+        window, mask = polygon_window(ring, SHAPE)
+        assert window == (slice(0, SHAPE[0]), slice(0, SHAPE[1]))
+        assert mask.all()
+
+
+class TestEstimateLineAngleClipped:
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            [[-5.3, 4.4], [20.7, 4.4]],  # ascender and left end leave the frame
+            [[14.2, 12.6], [39.1, 18.3]],  # right end leaves the frame
+            [[3.3, 27.8], [28.6, 21.1]],  # descender leaves the frame
+        ],
+    )
+    def test_matches_full_frame_computation(self, pts):
+        pts = np.array(pts)
+        line = TextLine("l0", Polyline(pts), 8.25, 3.15, polygon_from_baseline(pts, 8.25, 3.15))
+        ring = line.polygon.ring
+        h, w = SHAPE
+        assert ring[:, 0].min() < 0 or ring[:, 1].min() < 0 or ring[:, 0].max() > w - 1 or ring[:, 1].max() > h - 1
+        rng = np.random.default_rng(4)
+        omaps = OrientationMaps(
+            rng.uniform(-1, 1, SHAPE).astype(np.float32), rng.uniform(-1, 1, SHAPE).astype(np.float32)
+        )
+        full = polygon_pixels_oracle(ring, SHAPE)
+        x_med = float(np.median(omaps.ox[full]))
+        y_med = float(np.median(omaps.oy[full]))
+        est = estimate_line_angle(line, omaps)
+        assert (est.x_med, est.y_med) == (x_med, y_med)
+        assert est.angle_deg == math.degrees(math.atan2(y_med, x_med))
+
+    def test_polygon_outside_the_frame_raises(self):
+        pts = np.array([[-40.0, 5.0], [-20.0, 5.0]])
+        line = TextLine("l0", Polyline(pts), 6.0, 2.0, polygon_from_baseline(pts, 6.0, 2.0))
+        z = np.zeros(SHAPE, dtype=np.float32)
+        with pytest.raises(ValueError, match="empty polygon"):
+            estimate_line_angle(line, OrientationMaps(z, z))

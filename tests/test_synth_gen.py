@@ -7,7 +7,10 @@ from pagelayout.channels import write_maps
 from pagelayout.geometry import intersection_area
 from pagelayout.layout import baseline_midpoint, save_layout
 from pagelayout.render import render_gt
+from pagelayout.channels import ChannelMaps
 from pagelayout.synth import SynthConfig, corrupt, generate
+
+from oracles import dropout_oracle
 
 
 class TestGenerate:
@@ -105,3 +108,32 @@ class TestCorrupt:
             arr = getattr(out, name)
             assert arr.min() >= 0.0 and arr.max() <= 1.0
         assert out.asc.min() >= 0.0 and out.des.min() >= 0.0
+
+
+class TestDropout:
+    """Window-local dropout tears exactly the pixels of the full-frame loop."""
+
+    @staticmethod
+    def check(maps, p, seed):
+        got = corrupt(maps, noise_sigma=0.0, blur_size=1, dropout_prob=p, rng_seed=seed)
+        assert np.array_equal(got.base, dropout_oracle(maps.base, p, seed))
+        for name in ("end", "asc", "des", "block"):
+            assert np.array_equal(getattr(got, name), getattr(maps, name))
+
+    @pytest.mark.parametrize("p", [0.05, 0.5, 1.0])
+    def test_generated_pages(self, p):
+        for seed in range(3):
+            self.check(render_gt(generate(SynthConfig(seed=seed, page_size=(288, 384)))), p, seed)
+
+    @pytest.mark.parametrize("p", [0.05, 0.5, 1.0])
+    def test_strokes_touching_the_frame_border(self, p):
+        rng = np.random.default_rng(9)
+        for seed in range(4):
+            base = np.zeros((40, 56), dtype=np.float32)
+            base[0:2, 3:30] = 1.0  # top edge
+            base[20:23, 40:56] = 1.0  # right edge
+            base[37:40, 0:25] = 1.0  # bottom-left corner
+            base[5:35, 0:2] = 1.0  # left edge
+            base[rng.uniform(size=base.shape) < 0.08] = 1.0  # scattered specks and bridges
+            z = np.zeros_like(base)
+            self.check(ChannelMaps(base, z, z, z, z), p, seed)
