@@ -11,9 +11,11 @@ between them both stay below threshold.
 
 from __future__ import annotations
 
+import bisect
 import logging
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import coo_matrix, csgraph
@@ -234,24 +236,34 @@ def block_polygon(lines: list[TextLine]) -> Polygon:
     verts = np.vstack([line.polygon.ring for line in lines])
     med_h = float(np.median([line.height for line in lines]))
     shape = alpha_shape(verts, 1.0 / (2.0 * max(med_h, 1.0)))
-    for line in lines:
-        if intersection_area(shape, line.polygon) < 0.97 * line.polygon.area:
-            return convex_hull(verts)
+    covered = intersection_area(shape, [line.polygon for line in lines])
+    if (covered < 0.97 * np.array([line.polygon.area for line in lines])).any():
+        return convex_hull(verts)
     return shape
 
 
 def cluster_blocks(
     lines: list[TextLine], maps: ChannelMaps, params: BlockParams | None = None
 ) -> list[TextBlock]:
-    """Partition lines into blocks: connected components of the neighbour graph."""
+    """Partition lines into blocks: connected components of the neighbour graph.
+
+    Only pairs that overlap horizontally and are vertically closer than the
+    taller line's height, tested for all pairs at once, reach the
+    boundary-channel penalty of :func:`_neighbours`.
+    """
     params = params or BlockParams()
     n = len(lines)
     x_ints = [_x_interval(line) for line in lines]
     mid_ys = [baseline_midpoint(line.baseline)[1] for line in lines]
+    x0, x1 = np.array(x_ints).reshape(-1, 2).T
+    y = np.array(mid_ys)
+    h = np.array([line.height for line in lines])
+    near = (np.minimum.outer(x1, x1) - np.maximum.outer(x0, x0) > 0) & (
+        np.abs(np.subtract.outer(y, y)) < np.maximum.outer(h, h)
+    )
     edges = [
         (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
+        for i, j in zip(*np.nonzero(np.triu(near, 1)))
         if _neighbours(lines[i], lines[j], maps, params, x_ints[i], x_ints[j], mid_ys[i], mid_ys[j])
     ]
     src, dst = np.array(edges, dtype=np.intp).reshape(-1, 2).T
@@ -272,12 +284,26 @@ def cluster_blocks(
     return blocks
 
 
-def _baseline_x_interval(line: TextLine) -> tuple[float, float]:
-    xs = line.baseline.points[:, 0]
-    return (float(xs.min()), float(xs.max()))
+class _Fragment(NamedTuple):
+    """A line while fragments merge; ``line`` is the original, None once merged."""
+
+    id: str
+    baseline: Polyline
+    ascender: float
+    descender: float
+    line: TextLine | None = None
+
+    def sort_key(self) -> tuple[float, str]:
+        return (float(self.baseline.points[:, 0].min()), self.id)
+
+    def columns(self) -> tuple[float, float, float, float]:
+        """(left x, right x, midpoint y, height): what the merge test reads."""
+        xs = self.baseline.points[:, 0]
+        return (float(xs.min()), float(xs.max()), baseline_midpoint(self.baseline)[1], self.ascender + self.descender)
 
 
-def _merge_pair(a: TextLine, b: TextLine, params: BlockParams, max_points: int) -> TextLine:
+def _merge_pair(a: _Fragment, b: _Fragment, params: BlockParams, max_points: int) -> _Fragment:
+    """Merge two fragments into one with ``a``'s id; ``a`` starts no later than ``b``."""
     pts = np.vstack([a.baseline.points, b.baseline.points])
     order = np.argsort(pts[:, 0], kind="stable")
     px = pts[order, 0]
@@ -290,9 +316,15 @@ def _merge_pair(a: TextLine, b: TextLine, params: BlockParams, max_points: int) 
     ys = np.interp(xs, px, py)
     asc = nearest_rank_percentile([a.ascender, b.ascender], params.height_percentile)
     des = nearest_rank_percentile([a.descender, b.descender], params.height_percentile)
-    first = a if _baseline_x_interval(a)[0] <= _baseline_x_interval(b)[0] else b
-    baseline = np.stack([xs, ys], axis=1)
-    return TextLine(first.id, Polyline(baseline), asc, des, polygon_from_baseline(baseline, asc, des))
+    return _Fragment(a.id, Polyline(np.stack([xs, ys], axis=1)), asc, des)
+
+
+def _merge_condition(rows: np.ndarray, cols: np.ndarray, params: BlockParams) -> np.ndarray:
+    """Merge test of every row fragment against every column fragment, from their ``columns()``."""
+    h_min = np.minimum.outer(rows[:, 3], cols[:, 3])
+    dy = np.abs(np.subtract.outer(rows[:, 2], cols[:, 2]))
+    gap = np.maximum(0.0, np.maximum.outer(rows[:, 0], cols[:, 0]) - np.minimum.outer(rows[:, 1], cols[:, 1]))
+    return (dy <= params.merge_y_tolerance * h_min) & (gap <= params.merge_x_gap * h_min)
 
 
 def merge_block_lines(
@@ -302,35 +334,50 @@ def merge_block_lines(
 ) -> TextBlock:
     """Merge horizontally adjacent in-block fragments with similar vertical position.
 
-    Repeats until no pair with baseline-midpoint |dy| within
-    ``merge_y_tolerance`` x min height and horizontal gap within
-    ``merge_x_gap`` x min height remains (a fixpoint).  A merged baseline
-    is resampled to at most ``max_control_points`` points.
+    Two lines qualify when their baseline-midpoint |dy| is within
+    ``merge_y_tolerance`` x min height and their horizontal gap within
+    ``merge_x_gap`` x min height.  With the lines sorted by (left baseline
+    x, id), the first qualifying pair in row-major order merges, into a
+    line that keeps the left one's id and takes its sorted place; this
+    repeats until no pair qualifies (a fixpoint).  A merged baseline is
+    resampled to at most ``max_control_points`` points.
+
+    The pair test depends only on the two lines, and the others keep their
+    order, so after a merge only the merged line's row and column of the
+    condition matrix are recomputed.  Line polygons are built once, for
+    the merged lines that remain.
     """
     params = params or BlockParams()
-    lines = list(block.lines)
-    changed = True
-    while changed:
-        changed = False
-        lines.sort(key=lambda ln: (_baseline_x_interval(ln)[0], ln.id))
-        mids = [baseline_midpoint(ln.baseline)[1] for ln in lines]
-        xints = [_baseline_x_interval(ln) for ln in lines]
-        for i in range(len(lines)):
-            for j in range(i + 1, len(lines)):
-                a, b = lines[i], lines[j]
-                h_min = min(a.height, b.height)
-                dy = abs(mids[i] - mids[j])
-                xa, xb = xints[i], xints[j]
-                gap = max(0.0, max(xa[0], xb[0]) - min(xa[1], xb[1]))
-                if dy <= params.merge_y_tolerance * h_min and gap <= params.merge_x_gap * h_min:
-                    merged = _merge_pair(a, b, params, max_control_points)
-                    lines = [ln for k, ln in enumerate(lines) if k not in (i, j)] + [merged]
-                    changed = True
-                    break
-            if changed:
-                break
-    if len(lines) == len(block.lines):
+    frags = [_Fragment(ln.id, ln.baseline, ln.ascender, ln.descender, ln) for ln in block.lines]
+    frags.sort(key=_Fragment.sort_key)
+    keys = [f.sort_key() for f in frags]
+    cols = np.array([f.columns() for f in frags]).reshape(-1, 4)
+    cond = _merge_condition(cols, cols, params)  # read above the diagonal only
+    while True:
+        hits = np.flatnonzero(np.triu(cond, 1))
+        if len(hits) == 0:
+            break
+        i, j = divmod(int(hits[0]), len(frags))
+        merged = _merge_pair(frags[i], frags[j], params, max_control_points)
+        for seq in (frags, keys):
+            del seq[j], seq[i]
+        cols = np.delete(cols, (i, j), axis=0)
+        cond = np.delete(np.delete(cond, (i, j), axis=0), (i, j), axis=1)
+        # after every line of equal key, as a stable re-sort would put it
+        k = bisect.bisect_right(keys, merged.sort_key())
+        frags.insert(k, merged)
+        keys.insert(k, merged.sort_key())
+        cols = np.insert(cols, k, merged.columns(), axis=0)
+        cond = np.insert(np.insert(cond, k, False, axis=0), k, False, axis=1)
+        cond[k] = cond[:, k] = _merge_condition(cols[k : k + 1], cols, params)[0]
+    if len(frags) == len(block.lines):
         return block
+    lines = [
+        TextLine(f.id, f.baseline, f.ascender, f.descender, polygon_from_baseline(f.baseline.points, f.ascender, f.descender))
+        if f.line is None
+        else f.line
+        for f in frags
+    ]
     return TextBlock(block.id, lines, block_polygon(lines))
 
 

@@ -205,6 +205,9 @@ def _cmd_detect(args) -> int:
     if args.in_dir:
         if not args.out_dir:
             raise CliError("--in-dir requires --out-dir")
+        if args.multi_orient:
+            # --maps-90/--maps-270/--orient-maps name one page's files
+            raise CliError("--multi-orient takes one page (--maps ...), not --in-dir")
         in_dir = Path(args.in_dir)
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)

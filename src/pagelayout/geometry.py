@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Sequence
 
 import numpy as np
 from scipy.spatial import ConvexHull, Delaunay, QhullError
@@ -176,89 +177,131 @@ def horizontal_overlap(a: tuple[float, float], b: tuple[float, float]) -> float:
 # Polygon intersection area / IoU
 # ---------------------------------------------------------------------------
 
-def _segment_intersection_xs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x coordinates where edges of ring ``a`` cross edges of ring ``b``."""
-    p1 = a
-    r = np.roll(a, -1, axis=0) - a
-    q1 = b
-    s = np.roll(b, -1, axis=0) - b
-    denom = r[:, None, 0] * s[None, :, 1] - r[:, None, 1] * s[None, :, 0]
-    dx = q1[None, :, 0] - p1[:, None, 0]
-    dy = q1[None, :, 1] - p1[:, None, 1]
+def _pad_rows(rows: np.ndarray, values: np.ndarray, n_rows: int, fill: float) -> np.ndarray:
+    """(n_rows, C, ...) array of ``values`` grouped by their ascending ``rows`` index, ``fill`` after each group."""
+    counts = np.bincount(rows, minlength=n_rows)
+    out = np.full((n_rows, int(counts.max(initial=0))) + values.shape[1:], fill)
+    out[rows, np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]] = values
+    return out
+
+
+def _ring_edges(rings: list[np.ndarray]) -> np.ndarray:
+    """(K, E, 4) edge endpoints ``x1, y1, x2, y2`` of K rings; NaN pads the shorter rings."""
+    lens = np.array([len(r) for r in rings])
+    starts = np.cumsum(lens) - lens
+    nxt = np.arange(1, lens.sum() + 1)
+    nxt[starts + lens - 1] = starts
+    pts = np.concatenate(rings)
+    return _pad_rows(np.repeat(np.arange(len(rings)), lens), np.hstack([pts, pts[nxt]]), len(rings), np.nan)
+
+
+def _crossing_xs(a_edges: np.ndarray, b_edges: np.ndarray) -> np.ndarray:
+    """(K, C) x coordinates where edges of one ring cross edges of each of K rings; NaN pads."""
+    p1 = a_edges[None, :, None, :2]
+    r = (a_edges[:, 2:] - a_edges[:, :2])[None, :, None, :]
+    q1 = b_edges[:, None, :, :2]
+    s = b_edges[:, None, :, 2:] - q1
+    denom = r[..., 0] * s[..., 1] - r[..., 1] * s[..., 0]
+    dx = q1[..., 0] - p1[..., 0]
+    dy = q1[..., 1] - p1[..., 1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = (dx * s[None, :, 1] - dy * s[None, :, 0]) / denom
-        u = (dx * r[:, None, 1] - dy * r[:, None, 0]) / denom
-    ok = (np.abs(denom) > _EPS) & (t >= -_EPS) & (t <= 1 + _EPS) & (u >= -_EPS) & (u <= 1 + _EPS)
-    if not ok.any():
-        return np.empty(0)
-    ti, tj = np.nonzero(ok)
-    return p1[ti, 0] + t[ti, tj] * r[ti, 0]
+        t = (dx * s[..., 1] - dy * s[..., 0]) / denom
+    k, i, j = np.nonzero((np.abs(denom) > _EPS) & (t >= -_EPS) & (t <= 1 + _EPS))
+    r, t, denom = r[0, i, 0], t[k, i, j], denom[k, i, j]
+    u = (dx[k, i, j] * r[:, 1] - dy[k, i, j] * r[:, 0]) / denom
+    hit = (u >= -_EPS) & (u <= 1 + _EPS)
+    k = k[hit]
+    return _pad_rows(k, a_edges[i[hit], 0] + t[hit] * r[hit, 0], len(b_edges), np.nan)
 
 
-def _slab_crossings(ring: np.ndarray, xm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted edge-crossing ys per slab midpoint: (E, S) values, (S,) counts.
+def _slab_intervals(edges: np.ndarray, xm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inside-intervals of a ring on the vertical line through each slab midpoint.
 
-    Midpoints never coincide with vertex abscissae, so every edge either
-    strictly straddles a midpoint or misses it.
+    ``edges`` is (E, 4) or, one ring per slab, (N, E, 4); ``xm`` is (N,).
+    Returns (N, C) interval starts and ends: the sorted edge-crossing ys at
+    even and odd positions, padded with +inf starts and -inf ends, so an
+    overlap with a pad is -inf.  Midpoints never coincide with vertex
+    abscissae, so every edge either strictly straddles a midpoint or misses
+    it, and a closed ring crosses each midpoint an even number of times.
     """
-    x1 = ring[:, 0][:, None]
-    y1 = ring[:, 1][:, None]
-    nxt = np.roll(ring, -1, axis=0)
-    x2 = nxt[:, 0][:, None]
-    y2 = nxt[:, 1][:, None]
-    xs = xm[None, :]
-    straddle = ((x1 < xs) & (xs < x2)) | ((x2 < xs) & (xs < x1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ys = y1 + (xs - x1) / (x2 - x1) * (y2 - y1)
-    ys = np.where(straddle, ys, np.inf)
-    return np.sort(ys, axis=0), straddle.sum(axis=0)
+    x_lo = np.minimum(edges[..., 0], edges[..., 2])
+    x_hi = np.maximum(edges[..., 0], edges[..., 2])
+    n, e = np.nonzero((x_lo < xm[:, None]) & (xm[:, None] < x_hi))
+    x1, y1, x2, y2 = (edges[e] if edges.ndim == 2 else edges[n, e]).T
+    ys = y1 + (xm[n] - x1) / (x2 - x1) * (y2 - y1)
+    order = np.lexsort((ys, n))
+    grid = _pad_rows(n[order], ys[order], len(xm), np.inf)
+    depth = grid.shape[1] // 2 * 2
+    hi = grid[:, 1:depth:2]
+    hi[hi == np.inf] = -np.inf
+    return grid[:, 0:depth:2], hi
 
 
-def _interval_overlap_total(ya: np.ndarray, yb: np.ndarray) -> float:
-    """Overlap length of two sorted even-length crossing lists."""
-    total = 0.0
-    for i in range(0, len(ya) - 1, 2):
-        for j in range(0, len(yb) - 1, 2):
-            total += max(0.0, min(ya[i + 1], yb[j + 1]) - max(ya[i], yb[j]))
-    return total
-
-
-def intersection_area(a: Polygon, b: Polygon) -> float:
+def intersection_area(a: Polygon, b: Polygon | Sequence[Polygon]) -> float | np.ndarray:
     """Area of overlap between two simple polygons.
 
     Decomposes the overlap into vertical slabs bounded by every vertex
     abscissa and every edge/edge crossing; inside a slab the overlap width
     varies linearly with x, so the midpoint sample integrates it exactly.
+
+    ``b`` may also be a sequence of polygons: the result is then a float64
+    array with one area per polygon, each equal to the single-polygon
+    result to the last bit (the same abscissae, midpoints, widths and
+    crossings; interval pairs and then slabs summed left to right).
+    Bounding boxes that do not overlap in x, or lie apart in y by more than
+    any rounding of the crossing ordinates, give exactly 0 without slabs.
     """
-    ax0, _, ax1, _ = a.bounds()
-    bx0, _, bx1, _ = b.bounds()
-    lo, hi = max(ax0, bx0), min(ax1, bx1)
-    if hi - lo <= _EPS:
-        return 0.0
-    xs = np.concatenate([a.ring[:, 0], b.ring[:, 0], _segment_intersection_xs(a.ring, b.ring), [lo, hi]])
-    xs = np.unique(np.clip(xs, lo, hi))
-    widths = np.diff(xs)
-    keep = widths > _EPS
-    if not keep.any():
-        return 0.0
-    xm = (xs[:-1] + xs[1:])[keep] / 2.0
-    widths = widths[keep]
-    ys_a, counts_a = _slab_crossings(a.ring, xm)
-    ys_b, counts_b = _slab_crossings(b.ring, xm)
-    total = 0.0
-    for s in range(len(xm)):
-        ca, cb = counts_a[s], counts_b[s]
-        if ca < 2 or cb < 2:
-            continue
-        ya = ys_a[:ca, s]
-        yb = ys_b[:cb, s]
-        if ca == 2 and cb == 2:
-            ov = min(ya[1], yb[1]) - max(ya[0], yb[0])
-            if ov > 0:
-                total += ov * widths[s]
-        else:
-            total += _interval_overlap_total(ya, yb) * widths[s]
-    return total
+    if isinstance(b, Polygon):
+        return float(_intersection_areas(a, [b])[0])
+    return _intersection_areas(a, list(b))
+
+
+def _intersection_areas(a: Polygon, polys: list[Polygon]) -> np.ndarray:
+    """Overlap of ``a`` with each polygon: every polygon's slabs side by side on a padded axis."""
+    out = np.zeros(len(polys))
+    ax0, ay0, ax1, ay1 = a.bounds()
+    boxes = np.array([p.bounds() for p in polys]).reshape(-1, 4)
+    lo = np.maximum(ax0, boxes[:, 0])
+    hi = np.minimum(ax1, boxes[:, 2])
+    # Interpolated crossing ys leave a ring's box by at most a few ulps of
+    # its largest |y|; past a wider gap every interval overlap is negative.
+    y_gap = np.maximum(ay0, boxes[:, 1]) - np.minimum(ay1, boxes[:, 3])
+    y_tol = _EPS * (1.0 + max(abs(ay0), abs(ay1), float(np.abs(boxes[:, 1::2]).max(initial=0.0))))
+    live = np.flatnonzero((hi - lo > _EPS) & (y_gap <= y_tol))
+    if len(live) == 0:
+        return out
+    lo, hi = lo[live, None], hi[live, None]
+    a_edges = np.hstack([a.ring, np.roll(a.ring, -1, axis=0)])
+    b_edges = _ring_edges([polys[k].ring for k in live])
+    xs = np.concatenate(
+        [
+            a.ring[None, :, 0].repeat(len(live), axis=0),
+            b_edges[:, :, 0],
+            _crossing_xs(a_edges, b_edges),
+            lo,
+            hi,
+        ],
+        axis=1,
+    )
+    # Sorted with repeats (NaN pads last): a repeat gives a zero-width slab,
+    # which the width test drops, so the slabs are those of np.unique.
+    xs = np.sort(np.clip(xs, lo, hi), axis=1)
+    widths = xs[:, 1:] - xs[:, :-1]
+    k, i = np.nonzero(widths > _EPS)
+    if len(k) == 0:
+        return out
+    xm = (xs[k, i] + xs[k, i + 1]) / 2.0
+    lo_a, hi_a = _slab_intervals(a_edges, xm)
+    lo_b, hi_b = _slab_intervals(b_edges[k], xm)
+    ov = np.minimum(hi_a[:, :, None], hi_b[:, None, :]) - np.maximum(lo_a[:, :, None], lo_b[:, None, :])
+    ov = np.where(ov > 0, ov, 0.0).reshape(len(xm), -1)
+    # Left-to-right sums from 0.0, interval pairs in (i, j) order and then
+    # slabs by x: np.sum would add pairwise and round differently.
+    pairs = np.add.accumulate(np.concatenate([np.zeros((len(xm), 1)), ov], axis=1), axis=1)[:, -1]
+    terms = np.zeros((len(live), widths.shape[1] + 1))
+    terms[k, i + 1] = pairs * widths[k, i]
+    out[live] = np.add.accumulate(terms, axis=1)[:, -1]
+    return out
 
 
 def polygon_iou(a: Polygon, b: Polygon) -> float:

@@ -72,8 +72,8 @@ class TextBlock:
         if not self.lines:
             raise LayoutError(f"block {self.id!r}.lines", "must be non-empty")
         object.__setattr__(self, "lines", sort_reading_order(self.lines))
-        for line in self.lines:
-            covered = intersection_area(self.polygon, line.polygon)
+        coverage = intersection_area(self.polygon, [line.polygon for line in self.lines])
+        for line, covered in zip(self.lines, coverage):
             if covered < (_CONTAIN_MIN - 1e-9) * line.polygon.area:
                 raise LayoutError(
                     f"block {self.id!r}", f"covers only {covered / line.polygon.area:.2f} of line {line.id!r}"

@@ -319,3 +319,146 @@ def dropout_oracle(base: np.ndarray, dropout_prob: float, rng_seed: int) -> np.n
             else:
                 c += 1
     return out.astype(np.float32)
+
+
+def _segment_intersection_xs_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    p1 = a
+    r = np.roll(a, -1, axis=0) - a
+    q1 = b
+    s = np.roll(b, -1, axis=0) - b
+    denom = r[:, None, 0] * s[None, :, 1] - r[:, None, 1] * s[None, :, 0]
+    dx = q1[None, :, 0] - p1[:, None, 0]
+    dy = q1[None, :, 1] - p1[:, None, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (dx * s[None, :, 1] - dy * s[None, :, 0]) / denom
+        u = (dx * r[:, None, 1] - dy * r[:, None, 0]) / denom
+    ok = (np.abs(denom) > 1e-9) & (t >= -1e-9) & (t <= 1 + 1e-9) & (u >= -1e-9) & (u <= 1 + 1e-9)
+    if not ok.any():
+        return np.empty(0)
+    ti, tj = np.nonzero(ok)
+    return p1[ti, 0] + t[ti, tj] * r[ti, 0]
+
+
+def _slab_crossings_oracle(ring: np.ndarray, xm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    x1 = ring[:, 0][:, None]
+    y1 = ring[:, 1][:, None]
+    nxt = np.roll(ring, -1, axis=0)
+    x2 = nxt[:, 0][:, None]
+    y2 = nxt[:, 1][:, None]
+    xs = xm[None, :]
+    straddle = ((x1 < xs) & (xs < x2)) | ((x2 < xs) & (xs < x1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ys = y1 + (xs - x1) / (x2 - x1) * (y2 - y1)
+    ys = np.where(straddle, ys, np.inf)
+    return np.sort(ys, axis=0), straddle.sum(axis=0)
+
+
+def _interval_overlap_total_oracle(ya: np.ndarray, yb: np.ndarray) -> float:
+    total = 0.0
+    for i in range(0, len(ya) - 1, 2):
+        for j in range(0, len(yb) - 1, 2):
+            total += max(0.0, min(ya[i + 1], yb[j + 1]) - max(ya[i], yb[j]))
+    return total
+
+
+def intersection_area_oracle(a, b) -> float:
+    """Overlap area of two ``Polygon`` objects by one scalar slab loop.
+
+    Vertical slabs between all vertex and edge-crossing abscissae, each
+    integrated at its midpoint, slab by slab and interval pair by interval
+    pair.  This is the single-pair kernel the library's batched form must
+    reproduce bit for bit.
+    """
+    ax0, _, ax1, _ = a.bounds()
+    bx0, _, bx1, _ = b.bounds()
+    lo, hi = max(ax0, bx0), min(ax1, bx1)
+    if hi - lo <= 1e-9:
+        return 0.0
+    xs = np.concatenate([a.ring[:, 0], b.ring[:, 0], _segment_intersection_xs_oracle(a.ring, b.ring), [lo, hi]])
+    xs = np.unique(np.clip(xs, lo, hi))
+    widths = np.diff(xs)
+    keep = widths > 1e-9
+    if not keep.any():
+        return 0.0
+    xm = (xs[:-1] + xs[1:])[keep] / 2.0
+    widths = widths[keep]
+    ys_a, counts_a = _slab_crossings_oracle(a.ring, xm)
+    ys_b, counts_b = _slab_crossings_oracle(b.ring, xm)
+    total = 0.0
+    for s in range(len(xm)):
+        ca, cb = counts_a[s], counts_b[s]
+        if ca < 2 or cb < 2:
+            continue
+        ya = ys_a[:ca, s]
+        yb = ys_b[:cb, s]
+        if ca == 2 and cb == 2:
+            ov = min(ya[1], yb[1]) - max(ya[0], yb[0])
+            if ov > 0:
+                total += ov * widths[s]
+        else:
+            total += _interval_overlap_total_oracle(ya, yb) * widths[s]
+    return total
+
+
+def _merge_pair_oracle(a, b, params, max_points: int):
+    from pagelayout.blocks import nearest_rank_percentile, polygon_from_baseline
+    from pagelayout.geometry import Polyline
+    from pagelayout.layout import TextLine
+
+    pts = np.vstack([a.baseline.points, b.baseline.points])
+    order = np.argsort(pts[:, 0], kind="stable")
+    px = pts[order, 0]
+    py = pts[order, 1]
+    keep = np.concatenate([[True], np.diff(px) > 1e-9])
+    px, py = px[keep], py[keep]
+    width = px[-1] - px[0]
+    n = max(2, min(max_points, int(round(width)) + 1))
+    xs = np.linspace(px[0], px[-1], n)
+    ys = np.interp(xs, px, py)
+    asc = nearest_rank_percentile([a.ascender, b.ascender], params.height_percentile)
+    des = nearest_rank_percentile([a.descender, b.descender], params.height_percentile)
+    first = a if a.baseline.points[:, 0].min() <= b.baseline.points[:, 0].min() else b
+    baseline = np.stack([xs, ys], axis=1)
+    return TextLine(first.id, Polyline(baseline), asc, des, polygon_from_baseline(baseline, asc, des))
+
+
+def merge_fixpoint_oracle(block, params, max_control_points: int):
+    """In-block fragment merging by rescanning every pair after each merge.
+
+    Sorts by (left baseline x, id), merges the first pair in row-major order
+    whose midpoint |dy| and horizontal gap are within the tolerances times
+    the smaller height, and starts over until no pair qualifies.  The scan
+    and the pair merge are written out here; lines, polygons and the block
+    outline come from the library's constructors.
+    """
+    from pagelayout.blocks import block_polygon
+    from pagelayout.layout import TextBlock, baseline_midpoint
+
+    def x_interval(ln):
+        xs = ln.baseline.points[:, 0]
+        return (float(xs.min()), float(xs.max()))
+
+    lines = list(block.lines)
+    changed = True
+    while changed:
+        changed = False
+        lines.sort(key=lambda ln: (x_interval(ln)[0], ln.id))
+        mids = [baseline_midpoint(ln.baseline)[1] for ln in lines]
+        xints = [x_interval(ln) for ln in lines]
+        for i in range(len(lines)):
+            for j in range(i + 1, len(lines)):
+                a, b = lines[i], lines[j]
+                h_min = min(a.height, b.height)
+                dy = abs(mids[i] - mids[j])
+                xa, xb = xints[i], xints[j]
+                gap = max(0.0, max(xa[0], xb[0]) - min(xa[1], xb[1]))
+                if dy <= params.merge_y_tolerance * h_min and gap <= params.merge_x_gap * h_min:
+                    merged = _merge_pair_oracle(a, b, params, max_control_points)
+                    lines = [ln for k, ln in enumerate(lines) if k not in (i, j)] + [merged]
+                    changed = True
+                    break
+            if changed:
+                break
+    if len(lines) == len(block.lines):
+        return block
+    return TextBlock(block.id, lines, block_polygon(lines))

@@ -137,6 +137,21 @@ class TestErrors:
         bad.write_bytes(b"garbage")
         assert run(["detect", "--maps", bad, "--out", tmp_path / "p.json"]) == 1
 
+    def test_batch_multi_orient_rejected(self, tmp_path):
+        # the per-page flags would apply page a's 90/270/orientation maps to every page
+        in_dir = tmp_path / "in"
+        in_dir.mkdir()
+        synth = ["synth", "--seed", 10, "--out", tmp_path / "l.json"]
+        assert run(synth + ["--maps-rotated", tmp_path / "m", "--orient-maps", tmp_path / "o.pncm"]) == 0
+        (in_dir / "a.pncm").write_bytes((tmp_path / "m.0.pncm").read_bytes())
+        args = [
+            "detect", "--in-dir", in_dir, "--out-dir", tmp_path / "out", "--multi-orient",
+            "--maps-90", tmp_path / "m.90.pncm", "--maps-270", tmp_path / "m.270.pncm",
+            "--orient-maps", tmp_path / "o.pncm",
+        ]
+        assert run(args) == 1
+        assert not (tmp_path / "out" / "a.json").exists()
+
     def test_eval_mismatched_modes_exits_1(self, tmp_path):
         f = tmp_path / "x.json"
         f.write_text("{}")

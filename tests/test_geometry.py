@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pagelayout.blocks import block_polygon
 from pagelayout.geometry import (
     Polygon,
     Polyline,
@@ -14,7 +15,8 @@ from pagelayout.geometry import (
     rotated_size,
 )
 
-from oracles import raster_iou_oracle, rect_iou_oracle, rotate_index_oracle
+from conftest import make_line
+from oracles import intersection_area_oracle, raster_iou_oracle, rect_iou_oracle, rotate_index_oracle
 
 
 def square(x0, y0, x1, y1):
@@ -93,6 +95,119 @@ class TestPolygonIoU:
         assert intersection_area(l_shape, sq) == pytest.approx(0.0, abs=1e-9)
         sq2 = square(0, 0, 4, 4)
         assert intersection_area(l_shape, sq2) == pytest.approx(l_shape.area, abs=1e-9)
+
+
+def _quarter_turn(ring, turns):
+    for _ in range(turns):
+        ring = np.stack([ring[:, 1], -ring[:, 0]], axis=1)
+    return ring
+
+
+def comb(rng, teeth, pitch):
+    """Spine at 0 <= x <= 1 with teeth to the right: a vertical line can cross it 2 * teeth times."""
+    ring = [[0.0, 0.0]]
+    for t in range(teeth):
+        y0, y1 = pitch * t, pitch * (t + rng.uniform(0.3, 0.8))
+        if t > 0:
+            ring.append([1.0, y0])
+        ring += [[rng.uniform(3, 9), y0], [rng.uniform(3, 9), y1]]
+        ring.append([1.0 if t < teeth - 1 else 0.0, y1])
+    return np.array(ring)
+
+
+def random_pair(rng):
+    """Two simple polygons in one of the layouts the overlap kernel must handle."""
+    kind = int(rng.integers(0, 8))
+    c = rng.uniform(0, 20, 2)
+    if kind == 7:  # two combs of different pitch: many interval pairs overlap in one slab
+        b = comb(rng, int(rng.integers(3, 9)), rng.uniform(0.7, 2.0))
+        return [c + comb(rng, int(rng.integers(2, 6)), 3.0), c + rng.uniform(-2, 2, 2) + b]
+    if kind == 0:  # convex or star-shaped around a centre, overlapping at random
+        rings = []
+        for _ in range(2):
+            n = int(rng.integers(3, 14))
+            ang = np.sort(rng.uniform(0, 2 * np.pi, n))
+            rad = rng.uniform(1.0, 6.0, n) if rng.uniform() < 0.5 else np.full(n, rng.uniform(1.0, 6.0))
+            rings.append(c + rng.uniform(-3, 3, 2) + np.stack([rad * np.cos(ang), rad * np.sin(ang)], axis=1))
+        return rings
+    if kind == 1:  # L-shape, any quarter turn, against a rectangle or another L
+        w, h = rng.uniform(2, 10, 2)
+        ell = np.array([[0, 0], [w, 0], [w, h / 3], [w / 3, h / 3], [w / 3, h], [0, h]])
+        other = ell if rng.uniform() < 0.5 else np.array([[0, 0], [w / 2, 0], [w / 2, h / 2], [0, h / 2]])
+        shift = rng.uniform(-w / 2, w / 2, 2)
+        return [c + _quarter_turn(ell, int(rng.integers(4))), c + shift + _quarter_turn(other, int(rng.integers(4)))]
+    x0, y0 = np.round(c)
+    w, h = rng.integers(1, 6, 2).astype(float)
+    rect = np.array([[x0, y0], [x0 + w, y0], [x0 + w, y0 + h], [x0, y0 + h]])
+    if kind == 2:  # a shared vertical edge, the other polygon overlapping in y or not
+        dy = float(rng.integers(-3, 4))
+        return [rect, rect + [w, dy]]
+    if kind == 3:  # touching at one vertex or along a slanted edge
+        tri = np.array([[x0 + w, y0 + h], [x0 + 2 * w, y0 + h], [x0 + 2 * w, y0 + 2 * h]])
+        return [rect, tri] if rng.uniform() < 0.5 else [np.array([rect[0], rect[1], rect[2]]), rect[[0, 2, 3]]]
+    if kind == 4:  # disjoint in x
+        return [rect, rect + [w + rng.uniform(0.01, 5), rng.uniform(-h, h)]]
+    if kind == 5:  # disjoint in y, overlapping in x
+        n = int(rng.integers(3, 9))
+        ang = np.sort(rng.uniform(0, 2 * np.pi, n))
+        blob = np.stack([x0 + w / 2 + w * np.cos(ang), y0 + 3 * h + np.sin(ang)], axis=1)
+        return [rect, blob if rng.uniform() < 0.5 else rect + [rng.uniform(-w / 2, w / 2), h + rng.uniform(0.001, 3)]]
+    n = int(rng.integers(3, 12))  # nested: a shrunken copy of a convex ring inside it
+    ang = np.sort(rng.uniform(0, 2 * np.pi, n))
+    outer = c + np.stack([5 * np.cos(ang), 4 * np.sin(ang)], axis=1)
+    inner = c + rng.uniform(0.1, 0.9) * (outer - c)
+    return [outer, inner] if rng.uniform() < 0.5 else [inner, outer]
+
+
+def random_pairs(seed, count):
+    rng = np.random.default_rng(seed)
+    pairs = []
+    while len(pairs) < count:
+        try:
+            pairs.append(tuple(Polygon(r) for r in random_pair(rng)))
+        except ValueError:
+            continue
+    return pairs
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestIntersectionAreaOracle:
+    def test_single_pairs_equal_scalar_slab_loop(self):
+        pairs = random_pairs(21, 1400)
+        for a, b in pairs:
+            assert intersection_area(a, b) == intersection_area_oracle(a, b)
+            assert intersection_area(b, a) == intersection_area_oracle(b, a)
+        assert sum(intersection_area(a, b) > 0 for a, b in pairs) > 400
+
+    def test_sequences_equal_scalar_slab_loop_elementwise(self):
+        pairs = random_pairs(22, 1200)
+        rng = np.random.default_rng(23)
+        for k in range(0, len(pairs), 12):
+            a = pairs[k][0]
+            others = [p for pair in pairs[k : k + 12] for p in pair][: int(rng.integers(1, 24))]
+            got = intersection_area(a, others)
+            assert got.dtype == np.float64 and got.shape == (len(others),)
+            assert list(got) == [intersection_area_oracle(a, b) for b in others]
+
+    def test_block_coverage_inputs(self):
+        rng = np.random.default_rng(24)
+        for _ in range(6):
+            lines = [
+                make_line(f"l{i}", x0, x0 + rng.uniform(20, 120), 20 + 14 * i + rng.uniform(-2, 2), 8.0, 3.0)
+                for i, x0 in enumerate(rng.uniform(5, 40, int(rng.integers(2, 12))))
+            ]
+            shape = block_polygon(lines)
+            polys = [ln.polygon for ln in lines]
+            assert list(intersection_area(shape, polys)) == [intersection_area_oracle(shape, p) for p in polys]
+
+    def test_empty_sequence(self):
+        assert intersection_area(square(0, 0, 1, 1), []).shape == (0,)
+
+    def test_y_disjoint_boxes_give_exact_zero(self):
+        a = Polygon([[0, 0], [10, 0], [7, 3], [3, 3]])
+        for dy in (3.0 + 1e-6, 3.5, 40.0):
+            b = Polygon(a.ring + [1.0, dy])
+            assert intersection_area(a, b) == 0.0 == intersection_area_oracle(a, b)
 
 
 class TestHorizontalOverlap:

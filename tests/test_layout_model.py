@@ -89,6 +89,15 @@ class TestValidation:
         with pytest.raises(LayoutError, match="non-empty"):
             TextBlock("b0", [], Polygon([[0, 0], [1, 0], [1, 1]]))
 
+    def test_uncovered_line_rejected_first_in_reading_order(self):
+        from pagelayout.geometry import Polygon
+        from pagelayout.layout import TextBlock
+
+        lines = [make_line(f"l{i}", 10, 50, 20 * (i + 1), 6.0, 2.0) for i in range(3)]
+        top = Polygon([[0, 0], [100, 0], [100, 40], [0, 40]])  # all of l0, 6 of l1's 8 rows, none of l2
+        with pytest.raises(LayoutError, match=r"covers only 0\.75 of line 'l1'"):
+            TextBlock("b0", lines[::-1], top)
+
     def test_out_of_bounds_geometry_is_clamped(self):
         line = make_line("l0", -5, 80, 6, 5.0, 3.0)  # pokes above y=0 and left of x=0
         page = make_page([make_block("b0", [line])], height=64, width=96)

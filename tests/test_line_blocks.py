@@ -9,14 +9,15 @@ from pagelayout.blocks import (
     line_polygon,
     merge_block_lines,
     nearest_rank_percentile,
+    polygon_from_baseline,
 )
 from pagelayout.channels import ChannelMaps
 from pagelayout.geometry import Polyline
-from pagelayout.layout import baseline_midpoint
+from pagelayout.layout import TextLine, baseline_midpoint, save_layout
 from pagelayout.render import render_gt
 
 from conftest import make_block, make_line, make_page
-from oracles import closure_partition_oracle, percentile_oracle
+from oracles import closure_partition_oracle, merge_fixpoint_oracle, percentile_oracle
 
 
 def maps_with(base=None, asc=None, des=None, block=None, h=48, w=64):
@@ -268,6 +269,39 @@ class TestMergeBlockLines:
         f1 = make_line("f1", 40, 60, 16, 6.0, 2.0)  # gap 20 > 1.0 * 8
         block = make_block("b0", [f0, f1])
         assert len(merge_block_lines(block, BlockParams()).lines) == 2
+
+
+def fragment_chain_block(rng, n):
+    """Fragments of 1-3 text rows, some tilted or with several control points, some sharing a left x."""
+    rows = 20 + 30 * np.arange(int(rng.integers(1, 4)))
+    starts = np.round(rng.uniform(5, 300, n))
+    for k in range(1, n):
+        if rng.uniform() < 0.25:
+            starts[k] = starts[int(rng.integers(k))]  # equal left x
+    lines = []
+    for k, x0 in enumerate(starts):
+        y = rows[int(rng.integers(len(rows)))] + rng.uniform(-2, 2)
+        xs = np.linspace(x0, x0 + rng.uniform(4, 60), int(rng.integers(2, 6)))
+        pts = np.stack([xs, y + rng.uniform(-1.5, 1.5) * np.linspace(0, 1, len(xs))], axis=1)
+        asc, des = float(rng.uniform(4, 9)), float(rng.uniform(1, 4))
+        lines.append(TextLine(f"f{k:02d}", Polyline(pts), asc, des, polygon_from_baseline(pts, asc, des)))
+    return make_block("b0", lines)
+
+
+class TestMergeFixpointOracle:
+    @pytest.mark.parametrize("max_control_points", [3, 10])
+    def test_matches_restart_scan_on_fragment_chains(self, max_control_points):
+        rng = np.random.default_rng(40 + max_control_points)
+        params = [BlockParams(), BlockParams(merge_y_tolerance=1.0, merge_x_gap=2.0)]
+        merges = 0
+        for trial in range(40):
+            block = fragment_chain_block(rng, int(rng.integers(2, 31)))
+            p = params[trial % 2]
+            got = merge_block_lines(block, p, max_control_points)
+            want = merge_fixpoint_oracle(block, p, max_control_points)
+            assert save_layout(make_page([got], 160, 420)) == save_layout(make_page([want], 160, 420))
+            merges += len(block.lines) - len(got.lines)
+        assert merges > 100
 
 
 class TestExtractPage:
