@@ -242,9 +242,16 @@ def block_polygon(lines: list[TextLine]) -> Polygon:
     return shape
 
 
+class LineGroup(NamedTuple):
+    """The lines of one block, before its outline is built."""
+
+    id: str
+    lines: list[TextLine]
+
+
 def cluster_blocks(
     lines: list[TextLine], maps: ChannelMaps, params: BlockParams | None = None
-) -> list[TextBlock]:
+) -> list[LineGroup]:
     """Partition lines into blocks: connected components of the neighbour graph.
 
     Only pairs that overlap horizontally and are vertically closer than the
@@ -254,9 +261,9 @@ def cluster_blocks(
     params = params or BlockParams()
     n = len(lines)
     x_ints = [_x_interval(line) for line in lines]
-    mid_ys = [baseline_midpoint(line.baseline)[1] for line in lines]
+    mids = [baseline_midpoint(line.baseline) for line in lines]
     x0, x1 = np.array(x_ints).reshape(-1, 2).T
-    y = np.array(mid_ys)
+    mx, y = np.array(mids).reshape(-1, 2).T
     h = np.array([line.height for line in lines])
     near = (np.minimum.outer(x1, x1) - np.maximum.outer(x0, x0) > 0) & (
         np.abs(np.subtract.outer(y, y)) < np.maximum.outer(h, h)
@@ -264,24 +271,18 @@ def cluster_blocks(
     edges = [
         (i, j)
         for i, j in zip(*np.nonzero(np.triu(near, 1)))
-        if _neighbours(lines[i], lines[j], maps, params, x_ints[i], x_ints[j], mid_ys[i], mid_ys[j])
+        if _neighbours(lines[i], lines[j], maps, params, x_ints[i], x_ints[j], mids[i][1], mids[j][1])
     ]
     src, dst = np.array(edges, dtype=np.intp).reshape(-1, 2).T
     graph = coo_matrix((np.ones(len(edges)), (src, dst)), shape=(n, n))
     _, labels = csgraph.connected_components(graph, directed=False)
 
-    groups: dict[int, list[TextLine]] = {}
+    groups: dict[int, list[int]] = {}
     for i in range(n):
-        groups.setdefault(int(labels[i]), []).append(lines[i])
-
-    def group_key(members: list[TextLine]):
-        mids = [baseline_midpoint(ln.baseline) for ln in members]
-        return (min(m[1] for m in mids), min(m[0] for m in mids))
-
-    blocks = []
-    for k, members in enumerate(sorted(groups.values(), key=group_key)):
-        blocks.append(TextBlock(f"b{k}", members, block_polygon(members)))
-    return blocks
+        groups.setdefault(int(labels[i]), []).append(i)
+    # top to bottom by the highest baseline midpoint, ties by the leftmost one
+    order = sorted(groups.values(), key=lambda idx: (y[idx].min(), mx[idx].min()))
+    return [LineGroup(f"b{k}", [lines[i] for i in idx]) for k, idx in enumerate(order)]
 
 
 class _Fragment(NamedTuple):
@@ -328,10 +329,10 @@ def _merge_condition(rows: np.ndarray, cols: np.ndarray, params: BlockParams) ->
 
 
 def merge_block_lines(
-    block: TextBlock,
+    block: LineGroup | TextBlock,
     params: BlockParams | None = None,
     max_control_points: int = ExtractParams.max_control_points,
-) -> TextBlock:
+) -> LineGroup | TextBlock:
     """Merge horizontally adjacent in-block fragments with similar vertical position.
 
     Two lines qualify when their baseline-midpoint |dy| is within
@@ -340,7 +341,8 @@ def merge_block_lines(
     x, id), the first qualifying pair in row-major order merges, into a
     line that keeps the left one's id and takes its sorted place; this
     repeats until no pair qualifies (a fixpoint).  A merged baseline is
-    resampled to at most ``max_control_points`` points.
+    resampled to at most ``max_control_points`` points.  Reads only
+    ``block.id`` and ``block.lines``; returns ``block`` if nothing merges.
 
     The pair test depends only on the two lines, and the others keep their
     order, so after a merge only the merged line's row and column of the
@@ -378,7 +380,7 @@ def merge_block_lines(
         else f.line
         for f in frags
     ]
-    return TextBlock(block.id, lines, block_polygon(lines))
+    return LineGroup(block.id, lines)
 
 
 def extract_page(
@@ -388,7 +390,7 @@ def extract_page(
     merge: bool = True,
     page_id: str = "page",
 ) -> PageLayout:
-    """Full single-orientation pipeline: baselines, line polygons, blocks."""
+    """Full single-orientation pipeline: baselines, line polygons, line groups, one block per group."""
     extract_params = extract_params or ExtractParams()
     block_params = block_params or BlockParams()
     lines = []
@@ -397,7 +399,8 @@ def extract_page(
             lines.append(line_polygon(bl, maps, block_params, line_id=f"l{i}"))
         except ValueError:
             logger.debug("dropping out-of-bounds baseline %d", i)
-    blocks = cluster_blocks(lines, maps, block_params)
+    groups = cluster_blocks(lines, maps, block_params)
     if merge:
-        blocks = [merge_block_lines(b, block_params, extract_params.max_control_points) for b in blocks]
+        groups = [merge_block_lines(g, block_params, extract_params.max_control_points) for g in groups]
+    blocks = [TextBlock(g.id, g.lines, block_polygon(g.lines)) for g in groups]
     return PageLayout(page_id, maps.height, maps.width, blocks)

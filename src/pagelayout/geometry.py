@@ -72,7 +72,7 @@ class Polyline:
 class Polygon:
     """Simple polygon given as an implicitly closed ring of >= 3 points."""
 
-    __slots__ = ("ring",)
+    __slots__ = ("ring", "area")
 
     def __init__(self, ring, check_simple: bool = True):
         arr = _dedupe_consecutive(_as_point_array(ring))
@@ -80,16 +80,14 @@ class Polygon:
             arr = arr[:-1]
         if len(arr) < 3:
             raise ValueError("polygon needs at least 3 distinct points")
-        if abs(signed_area(arr)) <= _EPS:
+        area = abs(signed_area(arr))
+        if area <= _EPS:
             raise ValueError("polygon area is zero")
         if check_simple and not _ring_is_simple(arr):
             raise ValueError("polygon is self-intersecting")
         arr.flags.writeable = False
         self.ring = arr
-
-    @property
-    def area(self) -> float:
-        return abs(signed_area(self.ring))
+        self.area = area
 
     def bounds(self) -> tuple[float, float, float, float]:
         lo = self.ring.min(axis=0)

@@ -88,7 +88,7 @@ def sort_reading_order(lines: list[TextLine]) -> list[TextLine]:
 
 def reading_order(block: TextBlock) -> list[str]:
     """Ordered line ids of a block (top to bottom, ties broken by left x)."""
-    return [line.id for line in sort_reading_order(block.lines)]
+    return [line.id for line in block.lines]
 
 
 @dataclass(frozen=True)
@@ -124,6 +124,28 @@ def _clamp_points(arr: np.ndarray, h: int, w: int) -> np.ndarray:
     return out
 
 
+def _clip_ring(ring: np.ndarray, h: int, w: int) -> np.ndarray:
+    """The region of a ring inside [0, w] x [0, h] (Sutherland-Hodgman, one page edge at a time).
+
+    Unlike clamping each vertex, this keeps the part of the region that was
+    on the page, so a baseline inside the polygon stays inside it.
+    """
+    for axis, bound, sign in ((0, 0.0, 1.0), (0, float(w), -1.0), (1, 0.0, 1.0), (1, float(h), -1.0)):
+        depth = sign * (ring[:, axis] - bound)  # >= 0 on the page side
+        if (depth >= 0).all():
+            continue
+        out = []
+        for i in range(len(ring)):
+            if (depth[i - 1] >= 0) != (depth[i] >= 0):
+                cut = ring[i - 1] + depth[i - 1] / (depth[i - 1] - depth[i]) * (ring[i] - ring[i - 1])
+                cut[axis] = bound
+                out.append(cut)
+            if depth[i] >= 0:
+                out.append(ring[i])
+        ring = np.array(out).reshape(-1, 2)
+    return ring
+
+
 def _clamp_block(block: TextBlock, h: int, w: int) -> TextBlock:
     def in_bounds(arr):
         return (arr[:, 0] >= 0).all() and (arr[:, 0] <= w).all() and (arr[:, 1] >= 0).all() and (arr[:, 1] <= h).all()
@@ -138,11 +160,11 @@ def _clamp_block(block: TextBlock, h: int, w: int) -> TextBlock:
             Polyline(_clamp_points(ln.baseline.points, h, w)),
             ln.ascender,
             ln.descender,
-            Polygon(_clamp_points(ln.polygon.ring, h, w), check_simple=False),
+            Polygon(_clip_ring(ln.polygon.ring, h, w), check_simple=False),
         )
         for ln in block.lines
     ]
-    return TextBlock(block.id, lines, Polygon(_clamp_points(block.polygon.ring, h, w), check_simple=False))
+    return TextBlock(block.id, lines, Polygon(_clip_ring(block.polygon.ring, h, w), check_simple=False))
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,10 @@ import numpy as np
 
 from ._raster import polygon_window
 from .baselines import ExtractParams, detect_baselines
-from .blocks import BlockParams, cluster_blocks, line_polygon, merge_block_lines
+from .blocks import BlockParams, block_polygon, cluster_blocks, line_polygon, merge_block_lines
 from .channels import ChannelMaps, OrientationMaps
 from .geometry import Polygon, Polyline, polygon_iou, rotate90_points, rotated_size
-from .layout import PageLayout, TextBlock, TextLine, baseline_midpoint
+from .layout import PageLayout, TextBlock, TextLine, sort_reading_order
 
 logger = logging.getLogger("pagelayout.orient")
 
@@ -134,29 +134,24 @@ def detect_multi_orientation(
         if all(polygon_iou(cand[4].polygon, k[4].polygon) <= dedup_iou for k in kept):
             kept.append(cand)
 
-    blocks: list[TextBlock] = []
+    placed: list[tuple[Polygon, list[TextLine]]] = []  # each block's outline and lines, mapped back
     for t in (0, 1, 3):
         frame_lines = [c[3] for c in kept if c[1] == t]
-        if not frame_lines:
-            continue
         frame_size = maps_by_turn[t].shape
         back = (4 - t) % 4
-        for blk in cluster_blocks(frame_lines, maps_by_turn[t], block_params):
+        for group in cluster_blocks(frame_lines, maps_by_turn[t], block_params):
             if merge:
-                blk = merge_block_lines(blk, block_params, extract_params.max_control_points)
-            blocks.append(rotate_block(blk, frame_size, back))
+                group = merge_block_lines(group, block_params, extract_params.max_control_points)
+            outline = Polygon(rotate90_points(block_polygon(group.lines).ring, frame_size, back), check_simple=False)
+            placed.append((outline, [rotate_line(line, frame_size, back) for line in group.lines]))
 
-    def block_key(b: TextBlock):
-        x0, y0, _, _ = b.polygon.bounds()
-        return (y0, x0)
-
-    blocks.sort(key=block_key)
-    relabeled = []
+    placed.sort(key=lambda p: (p[0].bounds()[1], p[0].bounds()[0]))  # top edge, then left edge
+    blocks = []
     line_counter = 0
-    for k, blk in enumerate(blocks):
-        lines = []
-        for line in blk.lines:
-            lines.append(TextLine(f"l{line_counter}", line.baseline, line.ascender, line.descender, line.polygon))
+    for k, (outline, lines) in enumerate(placed):
+        relabeled = []
+        for line in sort_reading_order(lines):
+            relabeled.append(TextLine(f"l{line_counter}", line.baseline, line.ascender, line.descender, line.polygon))
             line_counter += 1
-        relabeled.append(TextBlock(f"b{k}", lines, blk.polygon))
-    return PageLayout(page_id, size0[0], size0[1], relabeled)
+        blocks.append(TextBlock(f"b{k}", relabeled, outline))
+    return PageLayout(page_id, size0[0], size0[1], blocks)

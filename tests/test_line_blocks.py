@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+import pagelayout.blocks
 from pagelayout.blocks import (
     BlockParams,
     adjacency_penalty,
@@ -11,10 +14,12 @@ from pagelayout.blocks import (
     nearest_rank_percentile,
     polygon_from_baseline,
 )
-from pagelayout.channels import ChannelMaps
+from pagelayout.channels import ChannelMaps, rotate_maps
 from pagelayout.geometry import Polyline
-from pagelayout.layout import TextLine, baseline_midpoint, save_layout
-from pagelayout.render import render_gt
+from pagelayout.layout import TextBlock, TextLine, baseline_midpoint, load_layout, save_layout
+from pagelayout.orient import detect_multi_orientation
+from pagelayout.render import render_gt, render_orientation_gt
+from pagelayout.synth import SynthConfig, corrupt, generate
 
 from conftest import make_block, make_line, make_page
 from oracles import closure_partition_oracle, merge_fixpoint_oracle, percentile_oracle
@@ -299,7 +304,9 @@ class TestMergeFixpointOracle:
             p = params[trial % 2]
             got = merge_block_lines(block, p, max_control_points)
             want = merge_fixpoint_oracle(block, p, max_control_points)
-            assert save_layout(make_page([got], 160, 420)) == save_layout(make_page([want], 160, 420))
+            assert save_layout(make_page([make_block(got.id, got.lines)], 160, 420)) == save_layout(
+                make_page([want], 160, 420)
+            )
             merges += len(block.lines) - len(got.lines)
         assert merges > 100
 
@@ -317,3 +324,58 @@ class TestExtractPage:
     def test_zero_maps_give_empty_layout(self):
         pred = extract_page(ChannelMaps.zeros(32, 32))
         assert pred.blocks == []
+
+    def test_wavy_line_at_page_edge_is_clipped(self):
+        # the ascender side pokes above y = 0; clamping the ring vertex by
+        # vertex used to cut the baseline out of its own polygon
+        base, asc, des = (np.zeros((64, 128), np.float32) for _ in range(3))
+        for x in range(12, 104):
+            y = round(2 + math.sin(2 * math.pi * x / 20))
+            base[y, x], asc[y, x], des[y, x] = 1.0, 10.0, 3.0
+        pred = extract_page(maps_with(base, asc, des, h=64, w=128))
+        assert len(pred.lines()) == 1
+        for arr in (pred.blocks[0].polygon.ring, pred.lines()[0].polygon.ring, pred.lines()[0].baseline.points):
+            assert (arr >= 0).all() and (arr[:, 0] <= 128).all() and (arr[:, 1] <= 64).all()
+        data = save_layout(pred)
+        assert save_layout(load_layout(data)) == data
+
+
+class TestEachBlockBuiltOnce:
+    """Each output block is outlined and checked once, not rebuilt per stage."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        calls = {"block_polygon": 0, "TextBlock": 0}
+        block_polygon = pagelayout.blocks.block_polygon
+        post_init = TextBlock.__post_init__
+
+        def counted_block_polygon(lines):
+            calls["block_polygon"] += 1
+            return block_polygon(lines)
+
+        def counted_post_init(block):
+            calls["TextBlock"] += 1
+            post_init(block)
+
+        monkeypatch.setattr(pagelayout.blocks, "block_polygon", counted_block_polygon)
+        monkeypatch.setattr(TextBlock, "__post_init__", counted_post_init)
+        return calls
+
+    def test_noisy_pages(self, counts):
+        merges = 0
+        for seed in range(4):
+            maps = corrupt(render_gt(generate(SynthConfig(seed=seed))), 0.1, 3, 0.05, rng_seed=seed)
+            counts.update(block_polygon=0, TextBlock=0)
+            pred = extract_page(maps)
+            assert counts == {"block_polygon": len(pred.blocks), "TextBlock": len(pred.blocks)}
+            merges += len(extract_page(maps, merge=False).lines()) - len(pred.lines())
+        assert merges > 0
+
+    def test_multi_orientation_pages(self, counts):
+        for seed in range(2):
+            layout = generate(SynthConfig(seed=seed, vertical_line_prob=0.3))
+            maps, omaps = render_gt(layout), render_orientation_gt(layout)
+            frames = {0: maps, 1: rotate_maps(maps, 1), 3: rotate_maps(maps, 3)}
+            counts.update(TextBlock=0)
+            pred = detect_multi_orientation(frames, omaps)
+            assert pred.blocks and counts["TextBlock"] == len(pred.blocks)
