@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .geometry import _next
+
 
 def _segment_distance_grid(p, q, cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Distance from every (col, row) grid center to segment p-q."""
@@ -78,37 +80,43 @@ def disk_window(center, radius: float, shape: tuple[int, int]) -> tuple[Window, 
 
 
 def polygon_window(ring: np.ndarray, shape: tuple[int, int]) -> tuple[Window, np.ndarray]:
-    """Even-odd scanline fill of a simple polygon over pixel centers."""
+    """Even-odd scanline fill of a simple polygon over pixel centers.
+
+    Every row in the ring's span meets every edge that straddles it
+    (half-open in y) in one array pass; per row the sorted crossings pair
+    up as (1st, 2nd), (3rd, 4th), ... into column spans rounded with a 1e-9
+    tolerance.  A closed ring crosses each row an even number of times: an
+    edge straddles row y iff exactly one of its ends has y_end <= y.
+    """
     h, w = shape
     ring = np.asarray(ring, dtype=np.float64)
     ys = ring[:, 1]
     r0 = max(0, int(np.ceil(ys.min())))
     r1 = min(h - 1, int(np.floor(ys.max())))
-    nxt = np.roll(ring, -1, axis=0)
+    nxt = _next(ring)
     x1s, y1s = ring[:, 0], ring[:, 1]
     x2s, y2s = nxt[:, 0], nxt[:, 1]
-    spans = []  # (row, first column, last column)
-    for r in range(r0, r1 + 1):
-        y = float(r)
-        straddle = ((y1s <= y) & (y < y2s)) | ((y2s <= y) & (y < y1s))
-        if not straddle.any():
-            continue
-        t = (y - y1s[straddle]) / (y2s[straddle] - y1s[straddle])
-        xs = np.sort(x1s[straddle] + t * (x2s[straddle] - x1s[straddle]))
-        for i in range(0, len(xs) - 1, 2):
-            c0 = max(0, int(np.ceil(xs[i] - 1e-9)))
-            c1 = min(w - 1, int(np.floor(xs[i + 1] + 1e-9)))
-            if c1 >= c0:
-                spans.append((r, c0, c1))
-    if not spans:
+    y = np.arange(r0, r1 + 1, dtype=np.float64)[:, None]
+    row, e = np.nonzero(((y1s <= y) & (y < y2s)) | ((y2s <= y) & (y < y1s)))
+    t = (y[row, 0] - y1s[e]) / (y2s[e] - y1s[e])
+    xs = x1s[e] + t * (x2s[e] - x1s[e])
+    order = np.lexsort((xs, row))
+    row, xs = row[order], xs[order]
+    # every row has an even count, so crossings 2k and 2k+1 share a row and bound a span
+    left = np.arange(0, len(row) - 1, 2)
+    c0 = np.clip(np.ceil(xs[left] - 1e-9), 0, w).astype(np.int64)
+    c1 = np.clip(np.floor(xs[left + 1] + 1e-9), -1, w - 1).astype(np.int64)
+    keep = c1 >= c0
+    row, c0, c1 = row[left[keep]], c0[keep], c1[keep]
+    if len(row) == 0:
         return _empty_window()
-    wy0, wy1 = spans[0][0], spans[-1][0]
-    wx0 = min(s[1] for s in spans)
-    wx1 = max(s[2] for s in spans)
-    mask = np.zeros((wy1 - wy0 + 1, wx1 - wx0 + 1), dtype=bool)
-    for r, c0, c1 in spans:
-        mask[r - wy0, c0 - wx0 : c1 - wx0 + 1] = True
-    return (slice(wy0, wy1 + 1), slice(wx0, wx1 + 1)), mask
+    wy0, wy1 = int(row[0]), int(row[-1])
+    wx0, wx1 = int(c0.min()), int(c1.max())
+    edges = np.zeros((wy1 - wy0 + 1, wx1 - wx0 + 2), dtype=np.int32)
+    np.add.at(edges, (row - wy0, c0 - wx0), 1)
+    np.add.at(edges, (row - wy0, c1 - wx0 + 1), -1)
+    mask = np.cumsum(edges, axis=1)[:, :-1] > 0
+    return (slice(wy0 + r0, wy1 + r0 + 1), slice(wx0, wx1 + 1)), mask
 
 
 def cumulative_lengths(points: np.ndarray) -> np.ndarray:

@@ -42,21 +42,28 @@ class ExtractParams:
 
 
 def smooth(arr: np.ndarray, size: int) -> np.ndarray:
-    """size x size box mean with edge replication."""
+    """size x size box mean with edge replication, as a new float64 array."""
+    out = np.empty(np.shape(arr))
     if size == 1:
-        return np.asarray(arr, dtype=np.float64).copy()
-    return ndimage.uniform_filter(np.asarray(arr, dtype=np.float64), size=size, mode="nearest")
+        np.copyto(out, arr)
+        return out
+    return ndimage.uniform_filter(arr, size=size, output=out, mode="nearest")
 
 
-def vertical_nms(arr: np.ndarray, size: int) -> np.ndarray:
+def vertical_nms(arr: np.ndarray, size: int, out: np.ndarray | None = None) -> np.ndarray:
     """Keep pixels that tie the maximum of the size-tall window centered on them.
 
     Suppressed pixels become 0; ties with the window maximum survive, so
     exact-value plateaus are kept and left to the later component stage.
+    Returns a new array, or with ``out=arr`` (a float64 ``arr``) suppresses
+    in place.
     """
     a = np.asarray(arr, dtype=np.float64)
-    win_max = ndimage.maximum_filter(a, size=(size, 1), mode="nearest")
-    return np.where(a >= win_max, a, 0.0)
+    suppressed = ~(a >= ndimage.maximum_filter(a, size=(size, 1), mode="nearest"))
+    if out is None:
+        out = a.copy()
+    np.copyto(out, 0.0, where=suppressed)
+    return out
 
 
 def connected_components(
@@ -138,8 +145,11 @@ def _fit_spline(rows: np.ndarray, cols: np.ndarray, max_points: int) -> Polyline
 def detect_baselines(maps: ChannelMaps, params: ExtractParams | None = None) -> list[Polyline]:
     """Extract baseline splines from the base and end channels."""
     params = params or ExtractParams()
-    response = vertical_nms(smooth(maps.base, params.smooth_size), params.nms_size)
-    response = np.maximum(response - maps.end.astype(np.float64), 0.0)
+    # smoothing, suppression and end subtraction share one float64 frame
+    response = smooth(maps.base, params.smooth_size)
+    vertical_nms(response, params.nms_size, out=response)
+    np.subtract(response, maps.end, out=response)
+    np.maximum(response, 0.0, out=response)
     fg = response >= params.threshold
 
     baselines = []

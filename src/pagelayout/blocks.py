@@ -26,13 +26,15 @@ from .channels import ChannelMaps
 from .geometry import (
     Polygon,
     Polyline,
+    _edge_crossings,
     _points_in_ring,
     _points_ring_distance,
-    _segments_cross,
+    _ring_crossings,
     alpha_shape,
     convex_hull,
     horizontal_overlap,
     intersection_area,
+    offset_chains,
 )
 from .layout import PageLayout, TextBlock, TextLine, baseline_midpoint
 
@@ -63,55 +65,30 @@ def nearest_rank_percentile(values, pct: float) -> float:
     return float(arr[max(1, k) - 1])
 
 
-def _vertex_up_normals(points: np.ndarray) -> np.ndarray:
-    """Per-vertex unit normals pointing to the ascender side.
-
-    Interior vertices use the angle bisector of the adjacent segments so
-    offsets at kinks do not self-intersect.
-    """
-    deltas = np.diff(points, axis=0)
-    lens = np.hypot(deltas[:, 0], deltas[:, 1])
-    units = deltas / lens[:, None]
-    tangents = np.empty_like(points)
-    tangents[0] = units[0]
-    tangents[-1] = units[-1]
-    if len(points) > 2:
-        mids = units[:-1] + units[1:]
-        norms = np.hypot(mids[:, 0], mids[:, 1])
-        bad = norms < 1e-9
-        mids[bad] = units[1:][bad]
-        norms = np.hypot(mids[:, 0], mids[:, 1])
-        tangents[1:-1] = mids / norms[:, None]
-    return np.stack([tangents[:, 1], -tangents[:, 0]], axis=1)
-
-
-def offset_polyline(points: np.ndarray, distance: float) -> np.ndarray:
-    """Offset along the per-vertex up-normal; negative distances go down."""
-    return points + distance * _vertex_up_normals(points)
-
-
 def _drop_self_intersections(ring: np.ndarray) -> np.ndarray:
-    """Remove vertices until the ring is simple (best-effort cleaning)."""
+    """Remove vertices until the ring is simple (best-effort cleaning).
 
-    def first_crossing(r: np.ndarray):
-        n = len(r)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                    continue
-                if _segments_cross(r[i], r[(i + 1) % n], r[j], r[(j + 1) % n]):
-                    return i, j
-        return None
-
+    Takes the first crossing edge pair (i, j), i < j in row-major order,
+    drops vertex j + 1 and repeats, at most ``len(ring)`` times and never
+    below 3 vertices.  A drop merges the two edges at that vertex into one,
+    so the crossing matrix loses that row and column and only the merged
+    edge's row and column are recomputed; the other pairs keep their
+    endpoints and hence their entries.
+    """
     work = ring
+    cross = _ring_crossings(work)
     for _ in range(len(ring)):
-        if len(work) <= 3:
+        n = len(work)
+        # cross is symmetric, so its first True in row-major order has i < j
+        first = int(cross.argmax())
+        if n <= 3 or not cross.flat[first]:
             break
-        hit = first_crossing(work)
-        if hit is None:
-            break
-        _, j = hit
-        work = np.delete(work, (j + 1) % len(work), axis=0)
+        dropped = (first % n + 1) % n
+        keep = np.arange(n) != dropped
+        work = work[keep]
+        cross = cross[keep][:, keep]
+        merged = (dropped - 1) % len(work)
+        cross[merged] = cross[:, merged] = _edge_crossings(work, merged)
     return work
 
 
@@ -129,8 +106,7 @@ def polygon_from_baseline(points: np.ndarray, ascender: float, descender: float)
     chains, so the hull always contains it).
     """
     pts = np.asarray(points, dtype=np.float64)
-    top = offset_polyline(pts, float(ascender))
-    bottom = offset_polyline(pts, -float(descender))
+    top, bottom = offset_chains(pts, float(ascender), float(descender))
     ring = np.vstack([top, bottom[::-1]])
     try:
         return Polygon(ring)
@@ -163,12 +139,9 @@ def _x_interval(line: TextLine) -> tuple[float, float]:
     return (x0, x1)
 
 
-def _strip_sum(maps: ChannelMaps, offset_pts: np.ndarray, cols: np.ndarray, thickness: float) -> float:
-    """Sum of the block channel over a thickness-tall band along a polyline."""
-    order = np.argsort(offset_pts[:, 0], kind="stable")
-    px = offset_pts[order, 0]
-    py = offset_pts[order, 1]
-    ys = np.interp(cols, px, py)
+def _strip_sum(maps: ChannelMaps, chain: np.ndarray, cols: np.ndarray, thickness: float) -> float:
+    """Sum of the block channel over a thickness-tall band along a polyline sorted by x."""
+    ys = np.interp(cols, chain[:, 0], chain[:, 1])
     half = thickness / 2.0
     h = maps.block.shape[0]
     r0 = np.ceil(ys - half - 1e-9).astype(np.int64)
@@ -188,6 +161,8 @@ def adjacency_penalty(
     Two strips span the horizontal intersection of the lines: one along the
     upper line's descender line, one along the lower line's ascender line.
     Each penalty is the strip sum divided by the strip length in pixels.
+    The chains come from each line's ``chains_by_x``, built once per line
+    however many pairs it takes part in.
     """
     params = params or BlockParams()
     xa = _x_interval(upper)
@@ -198,10 +173,8 @@ def adjacency_penalty(
     cols = cols[(cols >= 0) & (cols < maps.width)]
     if hi - lo <= 0 or len(cols) == 0:
         raise ValueError("not neighbours")
-    up_strip = offset_polyline(upper.baseline.points, -upper.descender)
-    low_strip = offset_polyline(lower.baseline.points, lower.ascender)
-    p_upper = _strip_sum(maps, up_strip, cols, params.penalty_area_thickness) / len(cols)
-    p_lower = _strip_sum(maps, low_strip, cols, params.penalty_area_thickness) / len(cols)
+    p_upper = _strip_sum(maps, upper.chains_by_x[1], cols, params.penalty_area_thickness) / len(cols)
+    p_lower = _strip_sum(maps, lower.chains_by_x[0], cols, params.penalty_area_thickness) / len(cols)
     return (p_upper, p_lower)
 
 

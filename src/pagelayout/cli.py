@@ -8,6 +8,10 @@ engine's standard constants.  Outputs are deterministic for identical
 inputs, seeds and ``--jobs`` settings.
 
 Exit codes: 0 success, 1 input/usage error, 2 internal invariant failure.
+Batch ``detect`` goes on past pages that fail, lists them on stderr and
+exits with the highest of their codes; each of its outputs is written to a
+temporary file in its directory and renamed into place, so none is ever
+left half-written.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import multiprocessing
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -33,6 +38,10 @@ from .synth import SynthConfig, corrupt, generate
 
 class CliError(Exception):
     pass
+
+
+# input and usage errors: exit code 1
+_INPUT_ERRORS = (CliError, LayoutError, MapFormatError, OSError, ValueError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -189,10 +198,34 @@ def _detect_single(maps_path: str, args) -> bytes:
     return save_layout(layout)
 
 
-def _detect_worker(task):
+def _write_atomic(path: Path, data: bytes):
+    """Write through a temporary file in the target's directory, so ``path`` is never left partial.
+
+    The file gets the mode ``Path.write_bytes`` would give it (0666 less the
+    umask), and a symlink at ``path`` is written through, not replaced.
+    """
+    target = Path(os.path.realpath(path))
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(data)
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _detect_worker(task) -> tuple[int, str] | None:
+    """Detect one page of a batch; None on success, else (exit code, message)."""
     maps_path, out_path, args = task
-    Path(out_path).write_bytes(_detect_single(maps_path, args))
-    return out_path
+    try:
+        _write_atomic(Path(out_path), _detect_single(maps_path, args))
+    except _INPUT_ERRORS as exc:
+        return 1, f"{maps_path}: {exc}"
+    except Exception as exc:  # internal invariant failure
+        return 2, f"{maps_path}: internal error: {type(exc).__name__}: {exc}"
+    return None
 
 
 def _cmd_detect(args) -> int:
@@ -219,10 +252,14 @@ def _cmd_detect(args) -> int:
             raise CliError(f"no .pncm files in {in_dir}")
         if args.jobs > 1:
             with multiprocessing.Pool(min(args.jobs, len(tasks))) as pool:
-                pool.map(_detect_worker, tasks)
+                failures = [f for f in pool.map(_detect_worker, tasks) if f]
         else:
-            for task in tasks:
-                _detect_worker(task)
+            failures = [f for f in map(_detect_worker, tasks) if f]
+        if failures:
+            print(f"error: {len(failures)} of {len(tasks)} pages failed:", file=sys.stderr)
+            for _, message in failures:
+                print(f"  {message}", file=sys.stderr)
+            return max(code for code, _ in failures)
         return 0
     if not (args.maps and args.out):
         raise CliError("detect needs --maps and --out (or --in-dir/--out-dir)")
@@ -291,10 +328,7 @@ def main(argv: list[str] | None = None) -> int:
             "eval": _cmd_eval,
         }[args.command]
         return handler(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (LayoutError, MapFormatError, OSError, ValueError) as exc:
+    except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # internal invariant failure

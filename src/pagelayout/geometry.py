@@ -6,14 +6,11 @@ and y growing downward.  Pixel centers sit on integer coordinates.
 
 from __future__ import annotations
 
-import logging
 import math
 from collections.abc import Sequence
 
 import numpy as np
 from scipy.spatial import ConvexHull, Delaunay, QhullError
-
-logger = logging.getLogger("pagelayout.geometry")
 
 Point = tuple[float, float]
 
@@ -72,7 +69,7 @@ class Polyline:
 class Polygon:
     """Simple polygon given as an implicitly closed ring of >= 3 points."""
 
-    __slots__ = ("ring", "area")
+    __slots__ = ("ring", "area", "_bounds")
 
     def __init__(self, ring, check_simple: bool = True):
         arr = _dedupe_consecutive(_as_point_array(ring))
@@ -83,16 +80,18 @@ class Polygon:
         area = abs(signed_area(arr))
         if area <= _EPS:
             raise ValueError("polygon area is zero")
-        if check_simple and not _ring_is_simple(arr):
+        if check_simple and _ring_crossings(arr).any():
             raise ValueError("polygon is self-intersecting")
         arr.flags.writeable = False
         self.ring = arr
         self.area = area
+        lo = arr.min(axis=0)
+        hi = arr.max(axis=0)
+        self._bounds = (float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1]))
 
     def bounds(self) -> tuple[float, float, float, float]:
-        lo = self.ring.min(axis=0)
-        hi = self.ring.max(axis=0)
-        return float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1])
+        """(min_x, min_y, max_x, max_y), computed once by the constructor."""
+        return self._bounds
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Polygon) and np.array_equal(self.ring, other.ring)
@@ -101,49 +100,52 @@ class Polygon:
         return f"Polygon({len(self.ring)} pts, area={self.area:.1f})"
 
 
+def _next(arr: np.ndarray) -> np.ndarray:
+    """``np.roll(arr, -1, axis=0)`` (item i + 1 at i, the first one last), without its per-call overhead."""
+    return np.concatenate([arr[1:], arr[:1]])
+
+
 def signed_area(ring: np.ndarray) -> float:
     """Shoelace area; positive for counterclockwise rings in y-down coordinates."""
     x = ring[:, 0]
     y = ring[:, 1]
-    return float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))) / 2.0
+    return float(np.dot(x, _next(y)) - np.dot(y, _next(x))) / 2.0
 
 
-def _segments_cross(p1, p2, q1, q2) -> bool:
-    """True if the open interiors of two segments intersect."""
+def _straddles(p: np.ndarray, q: np.ndarray, a: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Whether segment p-q strictly straddles the line through ``a`` along ``e`` (broadcast over ``[..., 2]``).
 
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-    d1 = orient(q1, q2, p1)
-    d2 = orient(q1, q2, p2)
-    d3 = orient(p1, p2, q1)
-    d4 = orient(p1, p2, q2)
-    return ((d1 > _EPS and d2 < -_EPS) or (d1 < -_EPS and d2 > _EPS)) and (
-        (d3 > _EPS and d4 < -_EPS) or (d3 < -_EPS and d4 > _EPS)
-    )
+    The sign test of the orientations ``e x (p - a)`` and ``e x (q - a)``,
+    each beyond ``_EPS``: two segments cross in their open interiors iff
+    each straddles the other's line.
+    """
+    d1 = e[..., 0] * (p[..., 1] - a[..., 1]) - e[..., 1] * (p[..., 0] - a[..., 0])
+    d2 = e[..., 0] * (q[..., 1] - a[..., 1]) - e[..., 1] * (q[..., 0] - a[..., 0])
+    return ((d1 > _EPS) & (d2 < -_EPS)) | ((d1 < -_EPS) & (d2 > _EPS))
 
 
-def _ring_is_simple(ring: np.ndarray) -> bool:
-    n = len(ring)
-    nxt = np.roll(ring, -1, axis=0)
-    ax, ay = ring[:, 0], ring[:, 1]
-    ex = nxt[:, 0] - ax
-    ey = nxt[:, 1] - ay
-    # d1[i, j] = orientation of segment j's start edge vs vertex i (and its end)
-    d1 = ex[None, :] * (ay[:, None] - ay[None, :]) - ey[None, :] * (ax[:, None] - ax[None, :])
-    d2 = ex[None, :] * (nxt[:, 1][:, None] - ay[None, :]) - ey[None, :] * (nxt[:, 0][:, None] - ax[None, :])
-    straddles = ((d1 > _EPS) & (d2 < -_EPS)) | ((d1 < -_EPS) & (d2 > _EPS))
-    crossing = straddles & straddles.T
-    idx = np.arange(n)
-    adjacent = (idx[:, None] == idx[None, :]) | ((idx[:, None] - idx[None, :]) % n == 1) | (
-        (idx[None, :] - idx[:, None]) % n == 1
-    )
-    return not (crossing & ~adjacent).any()
+def _ring_crossings(ring: np.ndarray) -> np.ndarray:
+    """(n, n) symmetric: edges i and j (edge i runs from vertex i to i + 1) cross.
+
+    An edge never crosses itself or a neighbour: a shared vertex has
+    orientation exactly 0 against the other edge (``e x 0`` or ``e x e``),
+    so neither edge straddles the other's line.
+    """
+    nxt = _next(ring)
+    s = _straddles(ring[:, None], nxt[:, None], ring[None, :], (nxt - ring)[None, :])
+    return s & s.T
+
+
+def _edge_crossings(ring: np.ndarray, k: int) -> np.ndarray:
+    """Row ``k`` of :func:`_ring_crossings`, computed alone."""
+    nxt = _next(ring)
+    e = nxt - ring
+    return _straddles(ring[k], nxt[k], ring, e) & _straddles(ring, nxt, ring[k], e[k])
 
 
 def _points_in_ring(ring: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Even-odd containment of many points, vectorized over edges."""
-    nxt = np.roll(ring, -1, axis=0)
+    nxt = _next(ring)
     x1, y1 = ring[:, 0][None, :], ring[:, 1][None, :]
     x2, y2 = nxt[:, 0][None, :], nxt[:, 1][None, :]
     px, py = pts[:, 0][:, None], pts[:, 1][:, None]
@@ -156,7 +158,7 @@ def _points_in_ring(ring: np.ndarray, pts: np.ndarray) -> np.ndarray:
 
 def _points_ring_distance(ring: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Distance of many points to the ring boundary."""
-    nxt = np.roll(ring, -1, axis=0)
+    nxt = _next(ring)
     d = nxt - ring
     l2 = np.maximum((d * d).sum(axis=1), 1e-18)[None, :]
     px, py = pts[:, 0][:, None], pts[:, 1][:, None]
@@ -164,6 +166,34 @@ def _points_ring_distance(ring: np.ndarray, pts: np.ndarray) -> np.ndarray:
     cx = ring[:, 0][None, :] + t * d[:, 0][None, :]
     cy = ring[:, 1][None, :] + t * d[:, 1][None, :]
     return np.hypot(px - cx, py - cy).min(axis=1)
+
+
+def _vertex_up_normals(points: np.ndarray) -> np.ndarray:
+    """Per-vertex unit normals pointing to the ascender side.
+
+    Interior vertices use the angle bisector of the adjacent segments so
+    offsets at kinks do not self-intersect.
+    """
+    deltas = np.diff(points, axis=0)
+    lens = np.hypot(deltas[:, 0], deltas[:, 1])
+    units = deltas / lens[:, None]
+    tangents = np.empty_like(points)
+    tangents[0] = units[0]
+    tangents[-1] = units[-1]
+    if len(points) > 2:
+        mids = units[:-1] + units[1:]
+        norms = np.hypot(mids[:, 0], mids[:, 1])
+        bad = norms < 1e-9
+        mids[bad] = units[1:][bad]
+        norms = np.hypot(mids[:, 0], mids[:, 1])
+        tangents[1:-1] = mids / norms[:, None]
+    return np.stack([tangents[:, 1], -tangents[:, 0]], axis=1)
+
+
+def offset_chains(points: np.ndarray, ascender: float, descender: float) -> tuple[np.ndarray, np.ndarray]:
+    """A baseline offset up by ``ascender`` and down by ``descender`` along its per-vertex up-normals."""
+    normals = _vertex_up_normals(points)
+    return points + ascender * normals, points + (-descender) * normals
 
 
 def horizontal_overlap(a: tuple[float, float], b: tuple[float, float]) -> float:
@@ -269,7 +299,7 @@ def _intersection_areas(a: Polygon, polys: list[Polygon]) -> np.ndarray:
     if len(live) == 0:
         return out
     lo, hi = lo[live, None], hi[live, None]
-    a_edges = np.hstack([a.ring, np.roll(a.ring, -1, axis=0)])
+    a_edges = np.hstack([a.ring, _next(a.ring)])
     b_edges = _ring_edges([polys[k].ring for k in live])
     xs = np.concatenate(
         [
@@ -302,18 +332,25 @@ def _intersection_areas(a: Polygon, polys: list[Polygon]) -> np.ndarray:
     return out
 
 
-def polygon_iou(a: Polygon, b: Polygon) -> float:
-    """Intersection-over-union of two polygons by exact area; 0 when disjoint."""
-    area_a = a.area
-    area_b = b.area
-    if area_a <= _EPS or area_b <= _EPS:
-        logger.debug("degenerate polygon in IoU, returning 0")
-        return 0.0
-    inter = intersection_area(a, b)
-    union = area_a + area_b - inter
-    if union <= _EPS:
-        return 0.0
-    return min(1.0, max(0.0, inter / union))
+def polygon_iou(a: Polygon, b: Polygon | Sequence[Polygon]) -> float | np.ndarray:
+    """Intersection-over-union of two polygons by exact area; 0 when disjoint.
+
+    ``b`` may also be a sequence of polygons: the result is then a float64
+    array with one IoU per polygon, each equal to the single-polygon result
+    to the last bit (the overlaps come from one batched
+    :func:`intersection_area` call).
+    """
+    if isinstance(b, Polygon):
+        return float(_ious(a, [b])[0])
+    return _ious(a, list(b))
+
+
+def _ious(a: Polygon, polys: list[Polygon]) -> np.ndarray:
+    inter = intersection_area(a, polys)
+    union = a.area + np.array([p.area for p in polys]) - inter
+    with np.errstate(divide="ignore", invalid="ignore"):
+        iou = np.minimum(1.0, np.maximum(0.0, inter / union))
+    return np.where(union > _EPS, iou, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -397,13 +434,11 @@ def alpha_shape(points, alpha: float) -> Polygon:
     kept = tri.simplices[_circumradii(pts, tri.simplices) <= r_max]
     if len(kept) == 0:
         return convex_hull(pts)
-    counts: dict[tuple[int, int], int] = {}
-    for s in kept:
-        for u, v in ((s[0], s[1]), (s[1], s[2]), (s[2], s[0])):
-            key = (u, v) if u < v else (v, u)
-            counts[key] = counts.get(key, 0) + 1
-    boundary = [e for e, c in counts.items() if c == 1]
-    loop = _walk_boundary(boundary)
+    # each triangle's edges (0, 1), (1, 2), (2, 0) as (low, high) vertex pairs;
+    # boundary edges belong to one kept triangle, listed by first appearance
+    edges = np.sort(np.stack([kept, np.roll(kept, -1, axis=1)], axis=2).reshape(-1, 2), axis=1).astype(np.int64)
+    _, first, counts = np.unique(edges[:, 0] * len(pts) + edges[:, 1], return_index=True, return_counts=True)
+    loop = _walk_boundary(edges[np.sort(first[counts == 1])].tolist())
     if loop is None or len(loop) < 3:
         return convex_hull(pts)
     try:

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import _raster
-from .geometry import Polygon, Polyline, _points_in_ring, _points_ring_distance, intersection_area
+from .geometry import Polygon, Polyline, _points_in_ring, _points_ring_distance, intersection_area, offset_chains
 
 _CONTAIN_MIN = 0.95  # fraction of a line polygon its block must cover
 
@@ -60,6 +61,17 @@ class TextLine:
     @property
     def height(self) -> float:
         return self.ascender + self.descender
+
+    @cached_property
+    def chains_by_x(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ascender and descender chains of the baseline, each sorted by x (stable).
+
+        The same points as the two long sides of the polygon that
+        ``polygon_from_baseline`` builds from this baseline and these
+        heights, before any cleaning; computed on first use, then kept.
+        """
+        chains = offset_chains(self.baseline.points, self.ascender, self.descender)
+        return tuple(c[np.argsort(c[:, 0], kind="stable")] for c in chains)
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,20 @@
 """Orientation-aware detection across the 0/90/270-degree processing frames.
 
-Lines are extracted independently in each frame, mapped back to the
-original frame, and kept only when their estimated orientation (medians of
-the orientation field over the line polygon) agrees with the processing
-orientation within 45 degrees.  Survivors are deduplicated and re-clustered
-into blocks per processing frame.
+Lines are extracted independently in each frame.  A candidate's polygon is
+mapped back to the original frame, and the line is kept only when its
+estimated orientation (medians of the orientation field over that polygon)
+agrees with the processing orientation within 45 degrees.  Survivors are
+deduplicated and re-clustered into blocks per processing frame; each output
+line and block is then built once, in the original frame, with its final id.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -21,7 +23,7 @@ from .baselines import ExtractParams, detect_baselines
 from .blocks import BlockParams, block_polygon, cluster_blocks, line_polygon, merge_block_lines
 from .channels import ChannelMaps, OrientationMaps
 from .geometry import Polygon, Polyline, polygon_iou, rotate90_points, rotated_size
-from .layout import PageLayout, TextBlock, TextLine, sort_reading_order
+from .layout import PageLayout, TextBlock, TextLine, baseline_midpoint
 
 logger = logging.getLogger("pagelayout.orient")
 
@@ -41,14 +43,18 @@ def angular_distance(a: float, b: float) -> float:
     return min(d, 360.0 - d)
 
 
-def estimate_line_angle(line: TextLine, omaps: OrientationMaps) -> OrientationEstimate:
-    """Componentwise medians of the orientation field over the line polygon."""
-    sl, mask = polygon_window(line.polygon.ring, omaps.shape)
+def estimate_line_angle(polygon: Polygon, omaps: OrientationMaps) -> OrientationEstimate:
+    """Componentwise medians of the orientation field over a line polygon."""
+    sl, mask = polygon_window(polygon.ring, omaps.shape)
     if not mask.any():
         raise ValueError("empty polygon")
     x_med = float(np.median(omaps.ox[sl][mask]))
     y_med = float(np.median(omaps.oy[sl][mask]))
     return OrientationEstimate(math.degrees(math.atan2(y_med, x_med)), x_med, y_med)
+
+
+def rotate_polygon(polygon: Polygon, size_hw: tuple[int, int], turns: int) -> Polygon:
+    return Polygon(rotate90_points(polygon.ring, size_hw, turns), check_simple=False)
 
 
 def rotate_line(line: TextLine, size_hw: tuple[int, int], turns: int) -> TextLine:
@@ -58,7 +64,7 @@ def rotate_line(line: TextLine, size_hw: tuple[int, int], turns: int) -> TextLin
         Polyline(rotate90_points(line.baseline.points, size_hw, turns)),
         line.ascender,
         line.descender,
-        Polygon(rotate90_points(line.polygon.ring, size_hw, turns), check_simple=False),
+        rotate_polygon(line.polygon, size_hw, turns),
     )
 
 
@@ -66,7 +72,7 @@ def rotate_block(block: TextBlock, size_hw: tuple[int, int], turns: int) -> Text
     return TextBlock(
         block.id,
         [rotate_line(line, size_hw, turns) for line in block.lines],
-        Polygon(rotate90_points(block.polygon.ring, size_hw, turns), check_simple=False),
+        rotate_polygon(block.polygon, size_hw, turns),
     )
 
 
@@ -74,6 +80,16 @@ def rotate_layout(layout: PageLayout, turns: int) -> PageLayout:
     size = (layout.height, layout.width)
     nh, nw = rotated_size(size, turns)
     return PageLayout(layout.page_id, nh, nw, [rotate_block(b, size, turns) for b in layout.blocks])
+
+
+class _Placed(NamedTuple):
+    """An output line before its final id: mapped back, keyed by reading order (as ``sort_reading_order``)."""
+
+    order: tuple[float, float, str]
+    baseline: Polyline
+    ascender: float
+    descender: float
+    polygon: Polygon
 
 
 def detect_multi_orientation(
@@ -108,7 +124,7 @@ def detect_multi_orientation(
         if maps_by_turn[t].shape != rotated_size(size0, t):
             raise ValueError(f"turn-{t} maps shape is not the rotation of the turn-0 shape")
 
-    candidates = []  # (angdist, turn, index, frame_line, original_line)
+    candidates = []  # (angdist, turn, index, frame_line, its polygon in the original frame)
     for t in (0, 1, 3):
         maps = maps_by_turn[t]
         frame_size = maps.shape
@@ -118,23 +134,24 @@ def detect_multi_orientation(
                 frame_line = line_polygon(bl, maps, block_params, line_id=f"t{t}l{i}")
             except ValueError:
                 continue
-            original = rotate_line(frame_line, frame_size, back)
+            polygon = rotate_polygon(frame_line.polygon, frame_size, back)
             try:
-                est = estimate_line_angle(original, omaps)
+                est = estimate_line_angle(polygon, omaps)
             except ValueError:
                 logger.debug("line %s covers no orientation pixels; dropped", frame_line.id)
                 continue
             dist = angular_distance(est.angle_deg, TURN_ANGLES[t])
             if dist <= max_angle_diff + 1e-9:  # boundary angles are kept
-                candidates.append((dist, t, i, frame_line, original))
+                candidates.append((dist, t, i, frame_line, polygon))
 
     candidates.sort(key=lambda c: (c[0], c[1], c[2]))
-    kept: list[tuple[float, int, int, TextLine, TextLine]] = []
+    kept: list[tuple[float, int, int, TextLine, Polygon]] = []
     for cand in candidates:
-        if all(polygon_iou(cand[4].polygon, k[4].polygon) <= dedup_iou for k in kept):
+        if (polygon_iou(cand[4], [k[4] for k in kept]) <= dedup_iou).all():
             kept.append(cand)
+    in_original = {id(c[3]): c[4] for c in kept}
 
-    placed: list[tuple[Polygon, list[TextLine]]] = []  # each block's outline and lines, mapped back
+    placed: list[tuple[Polygon, list[_Placed]]] = []  # each block's outline and lines, mapped back
     for t in (0, 1, 3):
         frame_lines = [c[3] for c in kept if c[1] == t]
         frame_size = maps_by_turn[t].shape
@@ -142,16 +159,21 @@ def detect_multi_orientation(
         for group in cluster_blocks(frame_lines, maps_by_turn[t], block_params):
             if merge:
                 group = merge_block_lines(group, block_params, extract_params.max_control_points)
-            outline = Polygon(rotate90_points(block_polygon(group.lines).ring, frame_size, back), check_simple=False)
-            placed.append((outline, [rotate_line(line, frame_size, back) for line in group.lines]))
+            lines = []
+            for line in group.lines:
+                polygon = in_original.get(id(line))
+                if polygon is None:  # a merged line
+                    polygon = rotate_polygon(line.polygon, frame_size, back)
+                baseline = Polyline(rotate90_points(line.baseline.points, frame_size, back))
+                x, y = baseline_midpoint(baseline)
+                lines.append(_Placed((y, x, line.id), baseline, line.ascender, line.descender, polygon))
+            lines.sort(key=lambda p: p.order)
+            placed.append((rotate_polygon(block_polygon(group.lines), frame_size, back), lines))
 
     placed.sort(key=lambda p: (p[0].bounds()[1], p[0].bounds()[0]))  # top edge, then left edge
-    blocks = []
-    line_counter = 0
-    for k, (outline, lines) in enumerate(placed):
-        relabeled = []
-        for line in sort_reading_order(lines):
-            relabeled.append(TextLine(f"l{line_counter}", line.baseline, line.ascender, line.descender, line.polygon))
-            line_counter += 1
-        blocks.append(TextBlock(f"b{k}", relabeled, outline))
+    line_ids = (f"l{i}" for i in itertools.count())
+    blocks = [
+        TextBlock(f"b{k}", [TextLine(next(line_ids), p.baseline, p.ascender, p.descender, p.polygon) for p in lines], outline)
+        for k, (outline, lines) in enumerate(placed)
+    ]
     return PageLayout(page_id, size0[0], size0[1], blocks)

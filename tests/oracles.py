@@ -462,3 +462,177 @@ def merge_fixpoint_oracle(block, params, max_control_points: int):
     if len(lines) == len(block.lines):
         return block
     return TextBlock(block.id, lines, block_polygon(lines))
+
+
+def polygon_window_oracle(ring, shape):
+    """``polygon_window`` by one Python pass per row: straddling edges, sorted crossings, spans."""
+    h, w = shape
+    ring = np.asarray(ring, dtype=np.float64)
+    ys = ring[:, 1]
+    r0 = max(0, int(np.ceil(ys.min())))
+    r1 = min(h - 1, int(np.floor(ys.max())))
+    nxt = np.roll(ring, -1, axis=0)
+    x1s, y1s = ring[:, 0], ring[:, 1]
+    x2s, y2s = nxt[:, 0], nxt[:, 1]
+    spans = []  # (row, first column, last column)
+    for r in range(r0, r1 + 1):
+        y = float(r)
+        straddle = ((y1s <= y) & (y < y2s)) | ((y2s <= y) & (y < y1s))
+        if not straddle.any():
+            continue
+        t = (y - y1s[straddle]) / (y2s[straddle] - y1s[straddle])
+        xs = np.sort(x1s[straddle] + t * (x2s[straddle] - x1s[straddle]))
+        for i in range(0, len(xs) - 1, 2):
+            c0 = max(0, int(np.ceil(xs[i] - 1e-9)))
+            c1 = min(w - 1, int(np.floor(xs[i + 1] + 1e-9)))
+            if c1 >= c0:
+                spans.append((r, c0, c1))
+    if not spans:
+        return (slice(0, 0), slice(0, 0)), np.zeros((0, 0), dtype=bool)
+    wy0, wy1 = spans[0][0], spans[-1][0]
+    wx0 = min(s[1] for s in spans)
+    wx1 = max(s[2] for s in spans)
+    mask = np.zeros((wy1 - wy0 + 1, wx1 - wx0 + 1), dtype=bool)
+    for r, c0, c1 in spans:
+        mask[r - wy0, c0 - wx0 : c1 - wx0 + 1] = True
+    return (slice(wy0, wy1 + 1), slice(wx0, wx1 + 1)), mask
+
+
+def _segments_cross_oracle(p1, p2, q1, q2) -> bool:
+    """True if the open interiors of two segments intersect (orientation signs beyond 1e-9)."""
+
+    def orient(a, b, c):
+        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+    d1 = orient(q1, q2, p1)
+    d2 = orient(q1, q2, p2)
+    d3 = orient(p1, p2, q1)
+    d4 = orient(p1, p2, q2)
+    return ((d1 > 1e-9 and d2 < -1e-9) or (d1 < -1e-9 and d2 > 1e-9)) and (
+        (d3 > 1e-9 and d4 < -1e-9) or (d3 < -1e-9 and d4 > 1e-9)
+    )
+
+
+def drop_self_intersections_oracle(ring: np.ndarray) -> np.ndarray:
+    """Vertex-dropping ring cleaner that rescans every edge pair after each drop."""
+
+    def first_crossing(r):
+        n = len(r)
+        for i in range(n):
+            for j in range(i + 1, n):
+                if (j + 1) % n == i or (i + 1) % n == j:
+                    continue
+                if _segments_cross_oracle(r[i], r[(i + 1) % n], r[j], r[(j + 1) % n]):
+                    return i, j
+        return None
+
+    work = ring
+    for _ in range(len(ring)):
+        if len(work) <= 3:
+            break
+        hit = first_crossing(work)
+        if hit is None:
+            break
+        _, j = hit
+        work = np.delete(work, (j + 1) % len(work), axis=0)
+    return work
+
+
+def _vertex_up_normals_oracle(points: np.ndarray) -> np.ndarray:
+    deltas = np.diff(points, axis=0)
+    lens = np.hypot(deltas[:, 0], deltas[:, 1])
+    units = deltas / lens[:, None]
+    tangents = np.empty_like(points)
+    tangents[0] = units[0]
+    tangents[-1] = units[-1]
+    if len(points) > 2:
+        mids = units[:-1] + units[1:]
+        norms = np.hypot(mids[:, 0], mids[:, 1])
+        bad = norms < 1e-9
+        mids[bad] = units[1:][bad]
+        norms = np.hypot(mids[:, 0], mids[:, 1])
+        tangents[1:-1] = mids / norms[:, None]
+    return np.stack([tangents[:, 1], -tangents[:, 0]], axis=1)
+
+
+def _strip_sum_oracle(block: np.ndarray, offset_pts: np.ndarray, cols: np.ndarray, thickness: float) -> float:
+    order = np.argsort(offset_pts[:, 0], kind="stable")
+    ys = np.interp(cols, offset_pts[order, 0], offset_pts[order, 1])
+    half = thickness / 2.0
+    h = block.shape[0]
+    r0 = np.ceil(ys - half - 1e-9).astype(np.int64)
+    r1 = np.floor(ys + half + 1e-9).astype(np.int64)
+    depth = int((r1 - r0).max()) + 1
+    rows = r0[None, :] + np.arange(depth)[:, None]
+    valid = (rows <= r1[None, :]) & (rows >= 0) & (rows < h)
+    vals = block[np.clip(rows, 0, h - 1), np.broadcast_to(cols, rows.shape)]
+    return float(np.where(valid, vals, 0.0).sum())
+
+
+def adjacency_penalty_oracle(upper, lower, maps, params):
+    """Per-pair boundary penalties that offset both baselines afresh for every pair."""
+    xa = (upper.polygon.ring[:, 0].min(), upper.polygon.ring[:, 0].max())
+    xb = (lower.polygon.ring[:, 0].min(), lower.polygon.ring[:, 0].max())
+    lo = float(max(xa[0], xb[0]))
+    hi = float(min(xa[1], xb[1]))
+    cols = np.arange(int(math.ceil(lo)), int(math.floor(hi)) + 1)
+    cols = cols[(cols >= 0) & (cols < maps.width)]
+    if hi - lo <= 0 or len(cols) == 0:
+        raise ValueError("not neighbours")
+    pu = upper.baseline.points
+    pl = lower.baseline.points
+    up_strip = pu + (-upper.descender) * _vertex_up_normals_oracle(pu)
+    low_strip = pl + lower.ascender * _vertex_up_normals_oracle(pl)
+    t = params.penalty_area_thickness
+    return (
+        _strip_sum_oracle(maps.block, up_strip, cols, t) / len(cols),
+        _strip_sum_oracle(maps.block, low_strip, cols, t) / len(cols),
+    )
+
+
+def detect_fg_oracle(maps, params) -> np.ndarray:
+    """Foreground of ``detect_baselines`` from full-frame float64 temporaries, one per step."""
+    base = np.asarray(maps.base, dtype=np.float64)
+    if params.smooth_size == 1:
+        smoothed = base.copy()
+    else:
+        smoothed = ndimage.uniform_filter(base, size=params.smooth_size, mode="nearest")
+    win_max = ndimage.maximum_filter(smoothed, size=(params.nms_size, 1), mode="nearest")
+    response = np.where(smoothed >= win_max, smoothed, 0.0)
+    response = np.maximum(response - maps.end.astype(np.float64), 0.0)
+    return response >= params.threshold
+
+
+def alpha_shape_oracle(points, alpha: float):
+    """``alpha_shape`` counting triangle edges in a dict, in first-appearance order.
+
+    Triangulation, circumradii, boundary walk and fallbacks are the
+    library's; only the boundary-edge count is written out here.
+    """
+    from scipy.spatial import Delaunay, QhullError
+
+    from pagelayout.geometry import Polygon, _circumradii, _walk_boundary, convex_hull
+
+    pts = np.unique(np.asarray(points, dtype=np.float64), axis=0)
+    if len(pts) < 3:
+        raise ValueError("degenerate point set")
+    try:
+        tri = Delaunay(pts)
+    except QhullError as exc:
+        raise ValueError("degenerate point set") from exc
+    r_max = math.inf if alpha <= 0 else 1.0 / alpha
+    kept = tri.simplices[_circumradii(pts, tri.simplices) <= r_max]
+    if len(kept) == 0:
+        return convex_hull(pts)
+    counts: dict[tuple[int, int], int] = {}
+    for s in kept:
+        for u, v in ((s[0], s[1]), (s[1], s[2]), (s[2], s[0])):
+            key = (u, v) if u < v else (v, u)
+            counts[key] = counts.get(key, 0) + 1
+    loop = _walk_boundary([e for e, c in counts.items() if c == 1])
+    if loop is None or len(loop) < 3:
+        return convex_hull(pts)
+    try:
+        return Polygon(pts[loop])
+    except ValueError:
+        return convex_hull(pts)

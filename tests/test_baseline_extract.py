@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+import pagelayout.baselines
 from pagelayout.baselines import ExtractParams, connected_components, detect_baselines, smooth, vertical_nms
 from pagelayout.channels import ChannelMaps
 from pagelayout.render import RenderParams, render_gt
 
 from conftest import make_block, make_line, make_page
-from oracles import box_mean_oracle, connected_components_oracle, vertical_nms_oracle
+from oracles import box_mean_oracle, connected_components_oracle, detect_fg_oracle, vertical_nms_oracle
 
 
 class TestSmooth:
@@ -182,3 +183,58 @@ class TestDetectBaselines:
             ExtractParams(nms_size=4)
         with pytest.raises(ValueError):
             ExtractParams(threshold=1.5)
+
+
+class TestInPlaceResponse:
+    """detect_baselines runs smooth, suppression and end subtraction in one reused frame; its
+    foreground equals the expression with a fresh full-frame temporary per step."""
+
+    @staticmethod
+    def maps(seed, end_over_base=False):
+        rng = np.random.default_rng(seed)
+        base = rng.uniform(0, 1, (40, 56)) ** 2
+        base[8:14, 4:40] = 1.0  # a plateau that survives threshold 1.0
+        base[24:27, 10:50] = rng.choice([0.25, 0.5, 1.0])  # exact ties for the suppression
+        end = rng.uniform(0, 1, (40, 56)) * (rng.uniform(0, 1, (40, 56)) < 0.2)
+        if end_over_base:
+            end[20:32, :] = 1.0  # at or above every smoothed base value
+        z = np.zeros((40, 56), np.float32)
+        return ChannelMaps(base, end, z, z, z)
+
+    @pytest.mark.parametrize(
+        "params, end_over_base",
+        [
+            (ExtractParams(), False),
+            (ExtractParams(threshold=0.0), False),
+            (ExtractParams(threshold=1.0), False),
+            (ExtractParams(smooth_size=1), False),
+            (ExtractParams(nms_size=1), False),
+            (ExtractParams(smooth_size=5, nms_size=3, threshold=0.2), True),
+            (ExtractParams(), True),
+        ],
+    )
+    def test_foreground_equals_full_frame_expression(self, monkeypatch, params, end_over_base):
+        seen = []
+
+        def capture(fg, *args):
+            seen.append(fg.copy())
+            return connected_components(fg, *args)
+
+        monkeypatch.setattr(pagelayout.baselines, "connected_components", capture)
+        for seed in range(3):
+            maps = self.maps(seed, end_over_base)
+            detect_baselines(maps, params)
+            want = detect_fg_oracle(maps, params)
+            assert seen[-1].dtype == bool and np.array_equal(seen[-1], want)
+            assert want.any()
+            if params.threshold == 0.0:
+                assert want.all()
+            if end_over_base:
+                assert not want[20:32].any()
+
+    def test_out_receives_the_result(self):
+        maps = self.maps(0)
+        buf = smooth(maps.base, 3)
+        want = vertical_nms(buf, 7)
+        assert vertical_nms(buf, 7, out=buf) is buf
+        assert np.array_equal(buf, want)

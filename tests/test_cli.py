@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 from dataclasses import fields, replace
 
 import numpy as np
@@ -151,6 +153,47 @@ class TestErrors:
         ]
         assert run(args) == 1
         assert not (tmp_path / "out" / "a.json").exists()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_batch_continues_past_a_bad_page(self, tmp_path, capsys, jobs):
+        in_dir = tmp_path / "in"
+        in_dir.mkdir()
+        for seed in range(3):
+            assert run(["synth", "--seed", seed, "--out", tmp_path / f"l{seed}.json", "--maps", in_dir / f"p{seed}.pncm"]) == 0
+        good = (in_dir / "p1.pncm").read_bytes()
+        (in_dir / "p0b.pncm").write_bytes(good[: len(good) // 2])  # truncated, sorted between good pages
+        out_dir = tmp_path / "out"
+        capsys.readouterr()
+        assert run(["detect", "--in-dir", in_dir, "--out-dir", out_dir, "--jobs", jobs]) == 1
+        err = capsys.readouterr().err
+        assert "1 of 4 pages failed" in err and str(in_dir / "p0b.pncm") in err
+        assert sorted(p.name for p in out_dir.iterdir()) == ["p0.json", "p1.json", "p2.json"]
+        for seed in range(3):  # each written whole, as a single-page run writes it
+            single = tmp_path / f"single{seed}.json"
+            assert run(["detect", "--maps", in_dir / f"p{seed}.pncm", "--out", single]) == 0
+            assert (out_dir / f"p{seed}.json").read_bytes() == single.read_bytes()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_batch_outputs_keep_umask_mode_and_symlinks(self, tmp_path, jobs):
+        in_dir, out_dir, elsewhere = tmp_path / "in", tmp_path / "out", tmp_path / "elsewhere"
+        for d in (in_dir, out_dir, elsewhere):
+            d.mkdir()
+        for seed in range(2):
+            assert run(["synth", "--seed", seed, "--out", tmp_path / f"l{seed}.json", "--maps", in_dir / f"p{seed}.pncm"]) == 0
+        (out_dir / "p1.json").symlink_to(elsewhere / "p1.json")
+        old_umask = os.umask(0o027)  # unlike mkstemp's 0600
+        try:
+            assert run(["detect", "--in-dir", in_dir, "--out-dir", out_dir, "--jobs", jobs]) == 0
+            (tmp_path / "plain.json").write_bytes(b"{}")
+        finally:
+            os.umask(old_umask)
+        want = stat.S_IMODE((tmp_path / "plain.json").stat().st_mode)
+        assert want == 0o640
+        assert stat.S_IMODE((out_dir / "p0.json").stat().st_mode) == want
+        assert (out_dir / "p1.json").is_symlink()  # written through, not replaced
+        assert stat.S_IMODE((elsewhere / "p1.json").stat().st_mode) == want
+        assert json.loads((elsewhere / "p1.json").read_bytes())
+        assert sorted(p.name for p in out_dir.iterdir()) == ["p0.json", "p1.json"]  # no temporaries left
 
     def test_eval_mismatched_modes_exits_1(self, tmp_path):
         f = tmp_path / "x.json"

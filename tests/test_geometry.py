@@ -16,7 +16,13 @@ from pagelayout.geometry import (
 )
 
 from conftest import make_line
-from oracles import intersection_area_oracle, raster_iou_oracle, rect_iou_oracle, rotate_index_oracle
+from oracles import (
+    alpha_shape_oracle,
+    intersection_area_oracle,
+    raster_iou_oracle,
+    rect_iou_oracle,
+    rotate_index_oracle,
+)
 
 
 def square(x0, y0, x1, y1):
@@ -210,6 +216,40 @@ class TestIntersectionAreaOracle:
             assert intersection_area(a, b) == 0.0 == intersection_area_oracle(a, b)
 
 
+def iou_oracle(a, b):
+    inter = intersection_area_oracle(a, b)
+    union = a.area + b.area - inter
+    return min(1.0, max(0.0, inter / union)) if union > 1e-9 else 0.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestPolygonIoUSequence:
+    def test_sequences_equal_single_pairs_elementwise(self):
+        pairs = random_pairs(25, 600)
+        rng = np.random.default_rng(26)
+        hits = 0
+        for k in range(0, len(pairs), 10):
+            a = pairs[k][0]
+            others = [p for pair in pairs[k : k + 10] for p in pair][: int(rng.integers(1, 20))]
+            got = polygon_iou(a, others)
+            assert got.dtype == np.float64 and got.shape == (len(others),)
+            assert list(got) == [polygon_iou(a, b) for b in others] == [iou_oracle(a, b) for b in others]
+            hits += int((got > 0).sum())
+        assert hits > 100
+
+    def test_empty_sequence(self):
+        assert polygon_iou(square(0, 0, 1, 1), []).shape == (0,)
+
+
+class TestStoredBounds:
+    def test_bounds_are_the_ring_extremes(self):
+        for a, b in random_pairs(27, 50):
+            for p in (a, b):
+                lo, hi = p.ring.min(axis=0), p.ring.max(axis=0)
+                assert p.bounds() == (lo[0], lo[1], hi[0], hi[1])
+                assert all(type(v) is float for v in p.bounds())
+
+
 class TestHorizontalOverlap:
     def test_basic(self):
         assert horizontal_overlap((0, 10), (5, 20)) == 5
@@ -295,6 +335,37 @@ class TestAlphaShape:
             assert shape.area == pytest.approx(kept_area, rel=1e-9) or shape.area == pytest.approx(
                 hull.area, rel=1e-9
             )
+
+
+class TestAlphaShapeOracle:
+    """The array edge count walks the same boundary as counting edges in a dict."""
+
+    def test_matches_dict_count(self):
+        rng = np.random.default_rng(28)
+        concave = 0
+        for trial in range(600):
+            n = int(rng.integers(3, 60))
+            if trial % 3 == 0:
+                pts = rng.uniform(0, 50, (n, 2))
+            elif trial % 3 == 1:
+                pts = rng.integers(0, 12, (n, 2)).astype(float)  # duplicates and collinear runs
+            else:  # the vertices of a few stacked line polygons, as block outlines see them
+                lines = [
+                    make_line(f"l{i}", x0, x0 + rng.uniform(20, 120), 20 + 14 * i + rng.uniform(-2, 2), 8.0, 3.0)
+                    for i, x0 in enumerate(rng.uniform(5, 40, int(rng.integers(1, 6))))
+                ]
+                pts = np.vstack([ln.polygon.ring for ln in lines])
+            alpha = float(rng.choice([0.0, 0.02, 0.05, 0.1, 0.3, 1.0]))
+            try:
+                want = alpha_shape_oracle(pts, alpha)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    alpha_shape(pts, alpha)
+                continue
+            got = alpha_shape(pts, alpha)
+            assert np.array_equal(got.ring, want.ring)
+            concave += got.area < convex_hull(pts).area - 1e-9
+        assert concave > 100
 
 
 class TestRotate90:

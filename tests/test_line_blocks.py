@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 import pagelayout.blocks
+import pagelayout.geometry
+import pagelayout.orient
 from pagelayout.blocks import (
     BlockParams,
+    _drop_self_intersections,
     adjacency_penalty,
     cluster_blocks,
     extract_page,
@@ -22,7 +25,13 @@ from pagelayout.render import render_gt, render_orientation_gt
 from pagelayout.synth import SynthConfig, corrupt, generate
 
 from conftest import make_block, make_line, make_page
-from oracles import closure_partition_oracle, merge_fixpoint_oracle, percentile_oracle
+from oracles import (
+    adjacency_penalty_oracle,
+    closure_partition_oracle,
+    drop_self_intersections_oracle,
+    merge_fixpoint_oracle,
+    percentile_oracle,
+)
 
 
 def maps_with(base=None, asc=None, des=None, block=None, h=48, w=64):
@@ -379,3 +388,168 @@ class TestEachBlockBuiltOnce:
             counts.update(TextBlock=0)
             pred = detect_multi_orientation(frames, omaps)
             assert pred.blocks and counts["TextBlock"] == len(pred.blocks)
+
+
+def kinked_line(rng, line_id, h=48, w=64):
+    """A line on a random multi-point baseline; tall heights on sharp kinks get cleaned or hulled polygons."""
+    n = int(rng.integers(2, 7))
+    x0 = rng.uniform(-8, w - 10)
+    xs = np.sort(x0 + rng.uniform(0, rng.uniform(6, 50), n))
+    xs[1:] += np.arange(1, n) * 1e-3  # distinct points
+    ys = rng.uniform(-4, h + 4) + rng.uniform(-1, 1, n) * rng.choice([0.5, 3.0, 12.0])
+    pts = np.stack([xs, ys], axis=1)
+    asc, des = float(rng.uniform(1, 14)), float(rng.choice([0.0, rng.uniform(0, 7)]))
+    return TextLine(line_id, Polyline(pts), asc, des, polygon_from_baseline(pts, asc, des))
+
+
+class TestDropSelfIntersectionsOracle:
+    """The incremental crossing-matrix cleaner equals the rescan-every-pair loop exactly."""
+
+    @staticmethod
+    def rings(rng):
+        for _ in range(120):
+            n = int(rng.integers(4, 16))
+            yield rng.uniform(0, 10, (n, 2))  # random polygons, mostly self-intersecting
+            yield rng.integers(0, 4, (n, 2)).astype(float)  # collinear and touching vertices
+            # a band around a kinked polyline whose jittered top side folds over itself
+            k = int(rng.integers(3, 9))
+            pts = np.stack([np.cumsum(rng.uniform(0.2, 3, k)), rng.uniform(-3, 3, k)], axis=1)
+            normal = rng.uniform(2, 8)
+            top = pts + [0.0, -normal] + rng.uniform(-2, 2, (k, 2))
+            bottom = pts + [0.0, rng.uniform(0, 4)]
+            yield np.vstack([top, bottom[::-1]])
+            # stars {m/q}: the polygon through every q-th of m points on a circle
+            m = int(rng.integers(5, 12))
+            q = int(rng.integers(2, (m + 1) // 2))
+            ang = 2 * np.pi * q * np.arange(m) / m + rng.uniform(0, 1)
+            rad = rng.uniform(2, 6) * (1 + 0.2 * rng.uniform(-1, 1, m))
+            yield np.stack([rad * np.cos(ang), rad * np.sin(ang)], axis=1)
+
+    def test_matches_rescan_loop(self):
+        rng = np.random.default_rng(31)
+        dropped = 0
+        for ring in self.rings(rng):
+            got = _drop_self_intersections(ring)
+            want = drop_self_intersections_oracle(ring)
+            assert got.shape == want.shape and np.array_equal(got, want)
+            dropped += len(ring) - len(got)
+        assert dropped > 1000
+
+    def test_kinked_line_polygons(self):
+        rng = np.random.default_rng(32)
+        cleaned = 0
+        for _ in range(300):
+            line = kinked_line(rng, "l")
+            pts = line.baseline.points
+            normals = pagelayout.geometry._vertex_up_normals(pts)
+            ring = np.vstack([pts + line.ascender * normals, (pts + -line.descender * normals)[::-1]])
+            got = _drop_self_intersections(ring)
+            assert np.array_equal(got, drop_self_intersections_oracle(ring))
+            cleaned += len(got) < len(ring)
+        assert cleaned > 20
+
+
+class TestAdjacencyPenaltyOracle:
+    """Penalties from each line's shared chains equal offsetting both baselines afresh per pair."""
+
+    def test_matches_per_pair_offsets(self):
+        rng = np.random.default_rng(33)
+        params = (BlockParams(), BlockParams(penalty_area_thickness=1.0), BlockParams(penalty_area_thickness=6.5))
+        compared = 0
+        for trial in range(60):
+            lines = [kinked_line(rng, f"l{i}") for i in range(int(rng.integers(2, 9)))]
+            maps = maps_with(block=rng.uniform(0, 1, (48, 64)) * (rng.uniform(0, 1, (48, 64)) < 0.6))
+            for a in lines:  # every line takes part in many pairs, as upper and as lower
+                for b in lines:
+                    if a is b:
+                        continue
+                    p = params[trial % 3]
+                    try:
+                        want = adjacency_penalty_oracle(a, b, maps, p)
+                    except ValueError:
+                        with pytest.raises(ValueError, match="not neighbours"):
+                            adjacency_penalty(a, b, maps, p)
+                        continue
+                    assert adjacency_penalty(a, b, maps, p) == want
+                    compared += 1
+        assert compared > 500
+
+    def test_hulled_and_cleaned_lines_use_their_baseline_offsets(self):
+        rng = np.random.default_rng(34)
+        maps = maps_with(block=rng.uniform(0, 1, (48, 64)))
+        checked = 0
+        while checked < 30:
+            line = kinked_line(rng, "k")
+            pts = line.baseline.points
+            if len(line.polygon.ring) == 2 * len(pts):
+                continue  # an uncleaned ring
+            other = make_line("o", line.polygon.bounds()[0], line.polygon.bounds()[2], 24.0, 5.0, 2.0)
+            for upper, lower in ((line, other), (other, line)):
+                try:
+                    want = adjacency_penalty_oracle(upper, lower, maps, BlockParams())
+                except ValueError:
+                    continue
+                assert adjacency_penalty(upper, lower, maps, BlockParams()) == want
+                checked += 1
+
+
+class TestEachLineBuiltOnce:
+    """Per-line geometry is built once per line, not once per stage or per pair."""
+
+    def test_multi_orientation_text_lines(self, monkeypatch):
+        counts = {"TextLine": 0, "candidates": 0}
+        post_init = TextLine.__post_init__
+        estimate = pagelayout.orient.estimate_line_angle
+
+        def counted_post_init(line):
+            counts["TextLine"] += 1
+            post_init(line)
+
+        def counted_estimate(*args):
+            counts["candidates"] += 1
+            return estimate(*args)
+
+        for seed in (0, 2):
+            layout = generate(SynthConfig(seed=seed, vertical_line_prob=0.3))
+            maps, omaps = render_gt(layout), render_orientation_gt(layout)
+            frames = {0: maps, 1: rotate_maps(maps, 1), 3: rotate_maps(maps, 3)}
+            with monkeypatch.context() as m:
+                m.setattr(TextLine, "__post_init__", counted_post_init)
+                m.setattr(pagelayout.orient, "estimate_line_angle", counted_estimate)
+                counts.update(TextLine=0, candidates=0)
+                pred = detect_multi_orientation(frames, omaps)
+            assert counts["candidates"] > len(pred.lines()) > 0
+            assert counts["TextLine"] <= counts["candidates"] + len(pred.lines())
+
+    def test_up_normals_per_polygon_and_line_not_per_pair(self, monkeypatch):
+        normals = pagelayout.geometry._vertex_up_normals
+        polygon = pagelayout.blocks.polygon_from_baseline
+        penalty = pagelayout.blocks.adjacency_penalty
+        counts = {"normals": 0, "polygons": 0, "pairs": 0}
+        paired = {}  # lines whose chains a penalty read, by identity
+
+        def counted_normals(points):
+            counts["normals"] += 1
+            return normals(points)
+
+        def counted_polygon(*args):
+            counts["polygons"] += 1
+            return polygon(*args)
+
+        def counted_penalty(upper, lower, maps, params=None):
+            result = penalty(upper, lower, maps, params)
+            counts["pairs"] += 1
+            paired.update({id(upper): upper, id(lower): lower})
+            return result
+
+        for seed in range(2):
+            maps = corrupt(render_gt(generate(SynthConfig(seed=seed))), 0.1, 3, 0.05, rng_seed=seed)
+            with monkeypatch.context() as m:
+                m.setattr(pagelayout.geometry, "_vertex_up_normals", counted_normals)
+                m.setattr(pagelayout.blocks, "polygon_from_baseline", counted_polygon)
+                m.setattr(pagelayout.blocks, "adjacency_penalty", counted_penalty)
+                counts.update(normals=0, polygons=0, pairs=0)
+                paired.clear()
+                extract_page(maps)
+            assert counts["pairs"] > len(paired) > 0
+            assert counts["normals"] == counts["polygons"] + len(paired)

@@ -48,12 +48,12 @@ class TestAngularDistance:
 class TestEstimateLineAngle:
     def test_horizontal_field(self):
         line = make_line("l", 5, 50, 20, 8.0, 3.0)
-        est = estimate_line_angle(line, omaps_const(1.0, 0.0))
+        est = estimate_line_angle(line.polygon, omaps_const(1.0, 0.0))
         assert est.angle_deg == pytest.approx(0.0)
 
     def test_vertical_field(self):
         line = make_line("l", 5, 50, 20, 8.0, 3.0)
-        est = estimate_line_angle(line, omaps_const(0.0, 1.0))
+        est = estimate_line_angle(line.polygon, omaps_const(0.0, 1.0))
         assert est.angle_deg == pytest.approx(90.0)
 
     def test_median_majority(self):
@@ -63,7 +63,7 @@ class TestEstimateLineAngle:
         oy = np.zeros((48, 64), np.float32)
         ox[:, 31:] = 0.6
         oy[:, 31:] = 0.8
-        est = estimate_line_angle(line, OrientationMaps(ox, oy))
+        est = estimate_line_angle(line.polygon, OrientationMaps(ox, oy))
         assert est.x_med == pytest.approx(0.6)
         assert est.y_med == pytest.approx(0.8)
         assert est.angle_deg == pytest.approx(53.13, abs=0.01)
@@ -72,7 +72,7 @@ class TestEstimateLineAngle:
         pts = np.array([[500.0, 500.0], [600.0, 500.0]])
         line = TextLine("l", Polyline(pts), 5.0, 2.0, polygon_from_baseline(pts, 5.0, 2.0))
         with pytest.raises(ValueError, match="empty polygon"):
-            estimate_line_angle(line, omaps_const(1.0, 0.0))
+            estimate_line_angle(line.polygon, omaps_const(1.0, 0.0))
 
 
 class TestDetectMultiOrientation:

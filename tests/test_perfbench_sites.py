@@ -39,6 +39,11 @@ def test_counters_bind_on_traced_pages(simple_page):
         "layout.intersection_area",
         "orient.cluster_blocks",
         "metrics._coverage",
+        # orient.angle_ms and orient.candidates, the dedup, and baselines.smooth_nms_ms
+        "orient.estimate_line_angle",
+        "orient.polygon_iou",
+        "baselines.smooth",
+        "baselines.vertical_nms",
     } <= names
     counted = {name for _, name in recorder.counts}
     assert {"components", "cluster_lines", "orient_kept", "merges", "coverage_pairs"} <= counted

@@ -10,7 +10,7 @@ from pagelayout.geometry import Polyline
 from pagelayout.layout import TextLine
 from pagelayout.orient import estimate_line_angle
 
-from oracles import disk_pixels_oracle, polygon_pixels_oracle, stroke_pixels_oracle
+from oracles import disk_pixels_oracle, polygon_pixels_oracle, polygon_window_oracle, stroke_pixels_oracle
 
 SHAPE = (24, 32)
 
@@ -106,6 +106,59 @@ class TestPolygonWindow:
         assert mask.all()
 
 
+def oracle_rings(rng):
+    """Rings of every kind the scanline must handle, in and around SHAPE."""
+    h, w = SHAPE
+    for _ in range(150):
+        n = int(rng.integers(3, 12))
+        yield np.stack([rng.uniform(-8, w + 8, n), rng.uniform(-8, h + 8, n)], axis=1)  # often self-intersecting
+        yield np.stack([rng.integers(-4, w + 4, n), rng.integers(-4, h + 4, n)], axis=1).astype(float)  # integer vertices
+        # vertices within the 1e-9 column rounding of integers, on either side
+        near = rng.integers(-4, w + 4, (n, 2)).astype(float) + rng.choice([-5e-10, 5e-10, -2e-9, 2e-9], (n, 2))
+        yield np.stack([near[:, 0], np.round(near[:, 1])], axis=1)
+        # axis-parallel staircase: horizontal edges, vertices on integer rows
+        xs = np.sort(rng.integers(-4, w + 4, n)).astype(float)
+        ys = rng.integers(-4, h + 4, n).astype(float)
+        yield np.concatenate([np.stack([xs, ys], 1), np.stack([xs, ys], 1)[:, ::-1]], 0)
+        yield star_ring(rng, rng.uniform(-6, w + 6), rng.uniform(-6, h + 6), 2.0, 16.0)
+        # zigzag band, half its vertices on integer rows
+        k = int(rng.integers(2, 8))
+        zx = np.linspace(rng.uniform(-6, 10), rng.uniform(w - 10, w + 6), k)
+        zy = rng.uniform(0, h, k).round() + rng.choice([0.0, 0.5], k)
+        yield np.concatenate([np.stack([zx, zy], 1), np.stack([zx[::-1], zy[::-1] + rng.uniform(-4, 6)], 1)], 0)
+        # a star traced twice around (a pentagram), so it crosses itself
+        ang = np.arange(5) * 4 * math.pi / 5 + rng.uniform(0, 2 * math.pi)
+        r = rng.uniform(3, 14)
+        yield np.stack([rng.uniform(0, w) + r * np.cos(ang), rng.uniform(0, h) + r * np.sin(ang)], axis=1)
+
+
+class TestPolygonWindowOracle:
+    """The array scanline equals the row-by-row loop exactly: window, mask shape and every pixel."""
+
+    def test_matches_row_loop_on_random_rings(self):
+        rng = np.random.default_rng(5)
+        count = 0
+        for ring in oracle_rings(rng):
+            shape = SHAPE if count % 3 else (int(rng.integers(1, 30)), int(rng.integers(1, 40)))
+            window, mask = polygon_window(ring, shape)
+            want_window, want_mask = polygon_window_oracle(ring, shape)
+            assert window == want_window
+            assert mask.shape == want_mask.shape and np.array_equal(mask, want_mask)
+            count += 1
+        assert count == 1050
+
+    def test_every_row_has_an_even_crossing_count(self):
+        # Half-open straddling (y1 <= y < y2) counts a vertex on the row once
+        # or not at all, so a closed ring always pairs up its crossings: the
+        # unpaired last crossing the loop skips never occurs.
+        rng = np.random.default_rng(6)
+        for ring in oracle_rings(rng):
+            nxt = np.roll(ring, -1, axis=0)
+            for y in np.arange(-10.0, SHAPE[0] + 10.0):
+                straddle = ((ring[:, 1] <= y) & (y < nxt[:, 1])) | ((nxt[:, 1] <= y) & (y < ring[:, 1]))
+                assert straddle.sum() % 2 == 0
+
+
 class TestEstimateLineAngleClipped:
     @pytest.mark.parametrize(
         "pts",
@@ -128,7 +181,7 @@ class TestEstimateLineAngleClipped:
         full = polygon_pixels_oracle(ring, SHAPE)
         x_med = float(np.median(omaps.ox[full]))
         y_med = float(np.median(omaps.oy[full]))
-        est = estimate_line_angle(line, omaps)
+        est = estimate_line_angle(line.polygon, omaps)
         assert (est.x_med, est.y_med) == (x_med, y_med)
         assert est.angle_deg == math.degrees(math.atan2(y_med, x_med))
 
@@ -137,4 +190,4 @@ class TestEstimateLineAngleClipped:
         line = TextLine("l0", Polyline(pts), 6.0, 2.0, polygon_from_baseline(pts, 6.0, 2.0))
         z = np.zeros(SHAPE, dtype=np.float32)
         with pytest.raises(ValueError, match="empty polygon"):
-            estimate_line_angle(line, OrientationMaps(z, z))
+            estimate_line_angle(line.polygon, OrientationMaps(z, z))
