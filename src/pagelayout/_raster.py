@@ -15,20 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import _next
-
-
-def _segment_distance_grid(p, q, cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Distance from every (col, row) grid center to segment p-q."""
-    px, py = p
-    qx, qy = q
-    dx, dy = qx - px, qy - py
-    cc, rr = np.meshgrid(cols, rows)
-    seg_len2 = dx * dx + dy * dy
-    if seg_len2 <= 1e-18:
-        return np.hypot(cc - px, rr - py)
-    t = np.clip(((cc - px) * dx + (rr - py) * dy) / seg_len2, 0.0, 1.0)
-    return np.hypot(cc - (px + t * dx), rr - (py + t * dy))
+from .geometry import _next, _segment_distance
 
 
 Window = tuple[slice, slice]
@@ -59,9 +46,7 @@ def stroke_window(points: np.ndarray, shape: tuple[int, int], thickness: float) 
     wy1 = max(b[5] for b in boxes)
     mask = np.zeros((wy1 - wy0 + 1, wx1 - wx0 + 1), dtype=bool)
     for p, q, x0, x1, y0, y1 in boxes:
-        cols = np.arange(x0, x1 + 1)
-        rows = np.arange(y0, y1 + 1)
-        d = _segment_distance_grid(p, q, cols, rows)
+        d = _segment_distance(np.arange(x0, x1 + 1)[None, :], np.arange(y0, y1 + 1)[:, None], p, q - p)
         mask[y0 - wy0 : y1 - wy0 + 1, x0 - wx0 : x1 - wx0 + 1] |= d <= half
     return (slice(wy0, wy1 + 1), slice(wx0, wx1 + 1)), mask
 

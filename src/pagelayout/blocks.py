@@ -26,9 +26,8 @@ from .channels import ChannelMaps
 from .geometry import (
     Polygon,
     Polyline,
+    _contains_within,
     _edge_crossings,
-    _points_in_ring,
-    _points_ring_distance,
     _ring_crossings,
     alpha_shape,
     convex_hull,
@@ -92,11 +91,6 @@ def _drop_self_intersections(ring: np.ndarray) -> np.ndarray:
     return work
 
 
-def _contains_within(poly: Polygon, pts: np.ndarray, tol: float = 0.45) -> bool:
-    outside = ~_points_in_ring(poly.ring, pts)
-    return bool((_points_ring_distance(poly.ring, pts[outside]) <= tol).all())
-
-
 def polygon_from_baseline(points: np.ndarray, ascender: float, descender: float) -> Polygon:
     """Line polygon: baseline offset up by the ascender, down by the descender.
 
@@ -114,7 +108,7 @@ def polygon_from_baseline(points: np.ndarray, ascender: float, descender: float)
         pass
     try:
         cleaned = Polygon(_drop_self_intersections(ring), check_simple=False)
-        if _contains_within(cleaned, pts):
+        if _contains_within(cleaned, pts, 0.45):  # inside TextLine's 0.5 with a margin
             return cleaned
     except ValueError:
         pass

@@ -11,21 +11,21 @@ The PNCM container is intentionally trivial to parse from any language:
         values   H*W float32, little endian, row major
 
 Detection stacks carry channels ``base, end, asc, des, block``; orientation
-stacks carry ``ox, oy``.  Heights (asc/des) are stored in pixels at the map
+stacks carry ``ox, oy``.  Each name appears once, and the set of names
+picks the stack type.  Heights (asc/des) are stored in pixels at the map
 resolution.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 MAGIC = b"PNCM"
 VERSION = 1
-DETECTION_CHANNELS = ("base", "end", "asc", "des", "block")
-ORIENTATION_CHANNELS = ("ox", "oy")
 _MAX_DIM = 1 << 16
 _MAX_CHANNELS = 16
 
@@ -48,9 +48,45 @@ def _prepare(name: str, arr, lo: float | None, hi: float | None) -> np.ndarray:
     return a
 
 
+class _PlaneStack:
+    """Named float32 planes of one shape, frozen and checked in ``RANGES`` order.
+
+    ``RANGES`` maps each plane name, in field and file order, to its ``(lo, hi)`` bounds (None: unbounded).
+    """
+
+    RANGES: ClassVar[dict[str, tuple[float | None, float | None]]]
+
+    def __post_init__(self):
+        for name, (lo, hi) in self.RANGES.items():
+            object.__setattr__(self, name, _prepare(name, getattr(self, name), lo, hi))
+        if len({getattr(self, name).shape for name in self.RANGES}) != 1:
+            raise MapFormatError("all channels must share one shape")
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return getattr(self, next(iter(self.RANGES))).shape
+
+    @property
+    def height(self) -> int:
+        return self.shape[0]
+
+    @property
+    def width(self) -> int:
+        return self.shape[1]
+
+    def channels(self) -> dict[str, np.ndarray]:
+        return {name: getattr(self, name) for name in self.RANGES}
+
+    @classmethod
+    def zeros(cls, height: int, width: int):
+        return cls(**{name: np.zeros((height, width), dtype=np.float32) for name in cls.RANGES})
+
+
 @dataclass(frozen=True)
-class ChannelMaps:
+class ChannelMaps(_PlaneStack):
     """The five detection channels; base/end/block in [0,1], asc/des >= 0."""
+
+    RANGES: ClassVar = {"base": (0.0, 1.0), "end": (0.0, 1.0), "asc": (0.0, None), "des": (0.0, None), "block": (0.0, 1.0)}
 
     base: np.ndarray
     end: np.ndarray
@@ -58,69 +94,15 @@ class ChannelMaps:
     des: np.ndarray
     block: np.ndarray
 
-    def __post_init__(self):
-        for name in ("base", "end", "block"):
-            object.__setattr__(self, name, _prepare(name, getattr(self, name), 0.0, 1.0))
-        for name in ("asc", "des"):
-            object.__setattr__(self, name, _prepare(name, getattr(self, name), 0.0, None))
-        shape = self.base.shape
-        for f in fields(self):
-            if getattr(self, f.name).shape != shape:
-                raise MapFormatError("all channels must share one shape")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.base.shape
-
-    @property
-    def height(self) -> int:
-        return self.base.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.base.shape[1]
-
-    def channels(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in DETECTION_CHANNELS}
-
-    @classmethod
-    def zeros(cls, height: int, width: int) -> "ChannelMaps":
-        z = lambda: np.zeros((height, width), dtype=np.float32)
-        return cls(z(), z(), z(), z(), z())
-
 
 @dataclass(frozen=True)
-class OrientationMaps:
+class OrientationMaps(_PlaneStack):
     """Unit-circle orientation field; both planes in [-1, 1]."""
+
+    RANGES: ClassVar = {"ox": (-1.0, 1.0), "oy": (-1.0, 1.0)}
 
     ox: np.ndarray
     oy: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "ox", _prepare("ox", self.ox, -1.0, 1.0))
-        object.__setattr__(self, "oy", _prepare("oy", self.oy, -1.0, 1.0))
-        if self.ox.shape != self.oy.shape:
-            raise MapFormatError("ox and oy must share one shape")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.ox.shape
-
-    @property
-    def height(self) -> int:
-        return self.ox.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.ox.shape[1]
-
-    def channels(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in ORIENTATION_CHANNELS}
-
-    @classmethod
-    def zeros(cls, height: int, width: int) -> "OrientationMaps":
-        z = np.zeros((height, width), dtype=np.float32)
-        return cls(z.copy(), z.copy())
 
 
 def write_maps(maps: ChannelMaps | OrientationMaps) -> bytes:
@@ -162,15 +144,15 @@ def read_maps(data: bytes) -> ChannelMaps | OrientationMaps:
         offset += plane_bytes
         if np.isnan(arr).any():
             raise MapFormatError(f"NaN payload in channel {name!r}")
+        if name in channels:
+            raise MapFormatError(f"repeated channel {name!r}")
         channels[name] = arr
     if offset != len(data):
         raise MapFormatError("trailing bytes after channel records")
-    names = tuple(channels)
-    if set(names) == set(DETECTION_CHANNELS):
-        return ChannelMaps(**{k: channels[k] for k in DETECTION_CHANNELS})
-    if set(names) == set(ORIENTATION_CHANNELS):
-        return OrientationMaps(**{k: channels[k] for k in ORIENTATION_CHANNELS})
-    raise MapFormatError(f"unexpected channel set {sorted(names)}")
+    for cls in (ChannelMaps, OrientationMaps):
+        if set(channels) == set(cls.RANGES):
+            return cls(**channels)
+    raise MapFormatError(f"unexpected channel set {sorted(channels)}")
 
 
 def rotate_maps(maps: ChannelMaps | OrientationMaps, turns: int):

@@ -28,11 +28,11 @@ from .baselines import ExtractParams
 from .blocks import BlockParams, extract_page
 from .channels import ChannelMaps, MapFormatError, OrientationMaps, read_maps, rotate_maps, write_maps
 from .layout import LayoutError, load_layout, save_layout
-from .losses import total_loss
-from .metrics import build_report, evaluate
+from .losses import DEFAULT_HEIGHT_WEIGHT, total_loss
+from .metrics import DEFAULT_IOU_THRESHOLD, build_report, evaluate
 from .orient import detect_multi_orientation
 from .render import RenderParams, render_gt, render_orientation_gt
-from .scale import estimate_scale
+from .scale import DEFAULT_SCALE_THRESHOLD, estimate_scale
 from .synth import SynthConfig, corrupt, generate
 
 
@@ -119,35 +119,29 @@ def build_parser() -> _Parser:
     p.add_argument("--orient-maps", help="orientation maps (multi-orient)")
     p.add_argument("--no-line-merge", action="store_true", help="disable in-block line merging")
     p.add_argument("--report-scale", action="store_true", help="print the scale estimate as JSON")
-    p.add_argument("--scale-threshold", type=float, default=0.3)
+    p.add_argument("--scale-threshold", type=float, default=DEFAULT_SCALE_THRESHOLD)
     _add_field_flags(p, "extraction parameters", ExtractParams, BlockParams)
 
     p = sub.add_parser("loss", help="training-objective breakdown between two map stacks")
     p.add_argument("pred")
     p.add_argument("gt")
-    p.add_argument("--lam", type=float, default=0.01, help="height-loss weight")
+    p.add_argument("--lam", type=float, default=DEFAULT_HEIGHT_WEIGHT, help="height-loss weight")
     p.add_argument("--out")
 
     p = sub.add_parser("eval", help="score predicted layouts against ground truth")
     p.add_argument("--pred", required=True, help="layout JSON file or directory")
     p.add_argument("--gt", required=True, help="layout JSON file or directory")
     p.add_argument("--report", help="report JSON output path (default stdout)")
-    p.add_argument("--iou-threshold", type=float, default=0.7)
+    p.add_argument("--iou-threshold", type=float, default=DEFAULT_IOU_THRESHOLD)
     p.add_argument("--jobs", type=int, default=1)
     return parser
 
 
-def _read_detection(path: str) -> ChannelMaps:
+def _read_maps(path: str, cls=ChannelMaps):
+    """The map stack at ``path``, which must be a ``cls`` (detection channels by default)."""
     maps = read_maps(Path(path).read_bytes())
-    if not isinstance(maps, ChannelMaps):
-        raise CliError(f"{path}: expected detection channels")
-    return maps
-
-
-def _read_orientation(path: str) -> OrientationMaps:
-    maps = read_maps(Path(path).read_bytes())
-    if not isinstance(maps, OrientationMaps):
-        raise CliError(f"{path}: expected orientation channels")
+    if not isinstance(maps, cls):
+        raise CliError(f"{path}: expected channels {', '.join(cls.RANGES)}")
     return maps
 
 
@@ -179,15 +173,15 @@ def _cmd_render_gt(args) -> int:
 
 def _detect_single(maps_path: str, args) -> bytes:
     ep, bp = _params_from_args(args)
-    maps = _read_detection(maps_path)
+    maps = _read_maps(maps_path)
     page_id = Path(maps_path).stem
     if args.multi_orient:
         if not (args.maps_90 and args.maps_270 and args.orient_maps):
             raise CliError("--multi-orient requires --maps-90, --maps-270 and --orient-maps")
-        maps_by_turn = {0: maps, 1: _read_detection(args.maps_90), 3: _read_detection(args.maps_270)}
+        maps_by_turn = {0: maps, 1: _read_maps(args.maps_90), 3: _read_maps(args.maps_270)}
         layout = detect_multi_orientation(
             maps_by_turn,
-            _read_orientation(args.orient_maps),
+            _read_maps(args.orient_maps, OrientationMaps),
             ep,
             bp,
             merge=not args.no_line_merge,
@@ -232,7 +226,7 @@ def _cmd_detect(args) -> int:
     if args.report_scale:
         if not args.maps:
             raise CliError("--report-scale requires --maps")
-        est = estimate_scale(_read_detection(args.maps), args.scale_threshold)
+        est = estimate_scale(_read_maps(args.maps), args.scale_threshold)
         print(json.dumps(est.as_dict()))
         return 0
     if args.in_dir:
@@ -268,8 +262,8 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_loss(args) -> int:
-    pred = _read_detection(args.pred)
-    gt = _read_detection(args.gt)
+    pred = _read_maps(args.pred)
+    gt = _read_maps(args.gt)
     breakdown = total_loss(pred, gt, lam=args.lam)
     text = json.dumps(breakdown.as_dict())
     if args.out:

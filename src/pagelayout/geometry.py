@@ -156,16 +156,27 @@ def _points_in_ring(ring: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return hits.sum(axis=1) % 2 == 1
 
 
-def _points_ring_distance(ring: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Distance of many points to the ring boundary."""
-    nxt = _next(ring)
-    d = nxt - ring
-    l2 = np.maximum((d * d).sum(axis=1), 1e-18)[None, :]
-    px, py = pts[:, 0][:, None], pts[:, 1][:, None]
-    t = np.clip(((px - ring[:, 0][None, :]) * d[:, 0][None, :] + (py - ring[:, 1][None, :]) * d[:, 1][None, :]) / l2, 0.0, 1.0)
-    cx = ring[:, 0][None, :] + t * d[:, 0][None, :]
-    cy = ring[:, 1][None, :] + t * d[:, 1][None, :]
-    return np.hypot(px - cx, py - cy).min(axis=1)
+def _segment_distance(x, y, p, d) -> np.ndarray:
+    """Distance from points (x, y) to the segments from ``p`` to ``p + d`` (x, y on their last axis), broadcast.
+
+    The package's one point-to-segment distance: the closest point is
+    ``p + t * d`` with ``t`` clipped to [0, 1], so a zero-length segment is ``p``.
+    """
+    px, py = p[..., 0], p[..., 1]
+    dx, dy = d[..., 0], d[..., 1]
+    l2 = np.maximum(dx * dx + dy * dy, 1e-18)
+    t = np.clip(((x - px) * dx + (y - py) * dy) / l2, 0.0, 1.0)
+    return np.hypot(x - (px + t * dx), y - (py + t * dy))
+
+
+def _contains_within(polygon: Polygon, pts: np.ndarray, tol: float) -> bool:
+    """Whether every point lies inside the polygon or within ``tol`` of its boundary."""
+    ring = polygon.ring
+    outside = pts[~_points_in_ring(ring, pts)]
+    if not len(outside):
+        return True
+    dist = _segment_distance(outside[:, 0, None], outside[:, 1, None], ring, _next(ring) - ring).min(axis=1)
+    return not (dist > tol).any()
 
 
 def _vertex_up_normals(points: np.ndarray) -> np.ndarray:

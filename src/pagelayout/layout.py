@@ -9,13 +9,14 @@ the model invariants and reports the path of the offending field.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from . import _raster
-from .geometry import Polygon, Polyline, _points_in_ring, _points_ring_distance, intersection_area, offset_chains
+from .geometry import Polygon, Polyline, _contains_within, intersection_area, offset_chains
 
 _CONTAIN_MIN = 0.95  # fraction of a line polygon its block must cover
 
@@ -53,9 +54,7 @@ class TextLine:
             raise LayoutError(f"line {self.id!r}.ascender", "must be >= 1")
         if not (self.descender >= 0.0):
             raise LayoutError(f"line {self.id!r}.descender", "must be >= 0")
-        pts = self.baseline.points
-        outside = ~_points_in_ring(self.polygon.ring, pts)
-        if outside.any() and (_points_ring_distance(self.polygon.ring, pts[outside]) > 0.5).any():
+        if not _contains_within(self.polygon, self.baseline.points, 0.5):
             raise LayoutError(f"line {self.id!r}.baseline", "point outside line polygon")
 
     @property
@@ -92,10 +91,15 @@ class TextBlock:
                 )
 
 
+def reading_key(baseline: Polyline, line_id: str) -> tuple[float, float, str]:
+    """Reading-order sort key of a line: baseline-midpoint y, then x, then id."""
+    x, y = baseline_midpoint(baseline)
+    return (y, x, line_id)
+
+
 def sort_reading_order(lines: list[TextLine]) -> list[TextLine]:
     """Lines sorted by vertical baseline-midpoint position, ties left first."""
-    mids = {line.id: baseline_midpoint(line.baseline) for line in lines}
-    return sorted(lines, key=lambda ln: (mids[ln.id][1], mids[ln.id][0], ln.id))
+    return sorted(lines, key=lambda ln: reading_key(ln.baseline, ln.id))
 
 
 def reading_order(block: TextBlock) -> list[str]:
@@ -237,6 +241,17 @@ def _reject_constant(value):
     raise LayoutError("$", f"non-finite number {value!r} not allowed")
 
 
+@contextmanager
+def _reported_at(path: str):
+    """Report a plain ``ValueError`` of the model constructors as a ``LayoutError`` at ``path``."""
+    try:
+        yield
+    except LayoutError:
+        raise
+    except ValueError as exc:
+        raise LayoutError(path, str(exc)) from exc
+
+
 def load_layout(data: bytes | str) -> PageLayout:
     if isinstance(data, bytes):
         data = data.decode("utf-8")
@@ -267,24 +282,12 @@ def load_layout(data: bytes | str) -> PageLayout:
                 _expect(np.isfinite(float(v)), f"{lpath}.{key}", "non-finite value")
             bl = _parse_points(ldoc.get("baseline"), f"{lpath}.baseline", 2)
             ring = _parse_points(ldoc.get("polygon"), f"{lpath}.polygon", 3)
-            try:
+            with _reported_at(lpath):
                 lines.append(
                     TextLine(ldoc["id"], Polyline(bl), float(ldoc["ascender"]), float(ldoc["descender"]), Polygon(ring))
                 )
-            except LayoutError:
-                raise
-            except ValueError as exc:
-                raise LayoutError(lpath, str(exc)) from exc
         ring = _parse_points(bdoc.get("polygon"), f"{bpath}.polygon", 3)
-        try:
+        with _reported_at(bpath):
             blocks.append(TextBlock(bdoc["id"], lines, Polygon(ring)))
-        except LayoutError:
-            raise
-        except ValueError as exc:
-            raise LayoutError(bpath, str(exc)) from exc
-    try:
+    with _reported_at("$"):
         return PageLayout(doc["page_id"], doc["height"], doc["width"], blocks)
-    except LayoutError:
-        raise
-    except ValueError as exc:
-        raise LayoutError("$", str(exc)) from exc

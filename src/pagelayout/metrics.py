@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._raster import sample_polyline
-from .geometry import Polygon, Polyline, polygon_iou
+from .geometry import Polygon, Polyline, _segment_distance, polygon_iou
 from .layout import PageLayout
 
 DEFAULT_IOU_THRESHOLD = 0.7
@@ -24,14 +24,6 @@ _FALLBACK_TOLERANCE = 4.0
 
 def f_value(p: float, r: float) -> float:
     return 0.0 if p + r == 0 else 2.0 * p * r / (p + r)
-
-
-def _segments(lines: list[Polyline]) -> np.ndarray:
-    segs = []
-    for line in lines:
-        pts = line.points
-        segs.append(np.stack([pts[:-1], pts[1:]], axis=1))
-    return np.concatenate(segs, axis=0)
 
 
 def _coverage(sources: list[Polyline], targets: list[Polyline], tolerance: float) -> float:
@@ -48,9 +40,8 @@ def _coverage(sources: list[Polyline], targets: list[Polyline], tolerance: float
     pts = np.concatenate([sample_polyline(line.points, 1.0) for line in sources])
     order = np.argsort(pts[:, 1])
     ys = pts[order, 1]
-    segs = _segments(targets)
+    segs = np.concatenate([np.stack([line.points[:-1], line.points[1:]], axis=1) for line in targets])
     d = segs[:, 1] - segs[:, 0]
-    l2 = np.maximum((d * d).sum(axis=1), 1e-18)
     lo = segs.min(axis=1) - (tolerance + 1e-6)
     hi = segs.max(axis=1) + (tolerance + 1e-6)
     covered = np.zeros(len(pts), dtype=bool)
@@ -60,10 +51,7 @@ def _coverage(sources: list[Polyline], targets: list[Polyline], tolerance: float
         idx = idx[(qx >= lo[k, 0]) & (qx <= hi[k, 0]) & ~covered[idx]]
         if not len(idx):
             continue
-        q = pts[idx]
-        p = segs[k, 0]
-        t = np.clip(((q[:, 0] - p[0]) * d[k, 0] + (q[:, 1] - p[1]) * d[k, 1]) / l2[k], 0.0, 1.0)
-        dist = np.hypot(q[:, 0] - (p[0] + t * d[k, 0]), q[:, 1] - (p[1] + t * d[k, 1]))
+        dist = _segment_distance(pts[idx, 0], pts[idx, 1], segs[k, 0], d[k])
         covered[idx[dist <= tolerance]] = True
     return float(covered.mean())
 
@@ -82,22 +70,22 @@ def match_baselines(
 def match_polygons(
     pred: list[Polygon], gt: list[Polygon], iou_threshold: float = DEFAULT_IOU_THRESHOLD
 ) -> tuple[float, float, float]:
-    """Greedy one-to-one IoU matching; pairs above the threshold are hits."""
+    """Greedy one-to-one IoU matching; pairs above the threshold are hits.
+
+    Each prediction takes one :func:`polygon_iou` call, over the ground truth whose boxes touch its own.
+    """
     if not pred and not gt:
         return (1.0, 1.0, 1.0)
     if not pred or not gt:
         return (1.0 if not pred else 0.0, 1.0 if not gt else 0.0, 0.0)
     pairs = []
-    gbounds = [g.bounds() for g in gt]
-    for i, pp in enumerate(pred):
-        px0, py0, px1, py1 = pp.bounds()
-        for j, gg in enumerate(gt):
-            gx0, gy0, gx1, gy1 = gbounds[j]
-            if px1 < gx0 or gx1 < px0 or py1 < gy0 or gy1 < py0:
-                continue
-            iou = polygon_iou(pp, gg)
-            if iou > iou_threshold:
-                pairs.append((iou, i, j))
+    pb = np.array([p.bounds() for p in pred])[:, None, :]
+    gb = np.array([g.bounds() for g in gt])[None, :, :]
+    touch = (pb[..., 2] >= gb[..., 0]) & (gb[..., 2] >= pb[..., 0]) & (pb[..., 3] >= gb[..., 1]) & (gb[..., 3] >= pb[..., 1])
+    for i in np.flatnonzero(touch.any(axis=1)):
+        near = np.flatnonzero(touch[i])
+        ious = polygon_iou(pred[i], [gt[j] for j in near])
+        pairs.extend((float(iou), int(i), int(j)) for iou, j in zip(ious, near) if iou > iou_threshold)
     pairs.sort(key=lambda t: (-t[0], t[1], t[2]))
     used_p: set[int] = set()
     used_g: set[int] = set()

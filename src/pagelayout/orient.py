@@ -23,7 +23,7 @@ from .baselines import ExtractParams, detect_baselines
 from .blocks import BlockParams, block_polygon, cluster_blocks, line_polygon, merge_block_lines
 from .channels import ChannelMaps, OrientationMaps
 from .geometry import Polygon, Polyline, polygon_iou, rotate90_points, rotated_size
-from .layout import PageLayout, TextBlock, TextLine, baseline_midpoint
+from .layout import PageLayout, TextBlock, TextLine, reading_key
 
 logger = logging.getLogger("pagelayout.orient")
 
@@ -83,7 +83,7 @@ def rotate_layout(layout: PageLayout, turns: int) -> PageLayout:
 
 
 class _Placed(NamedTuple):
-    """An output line before its final id: mapped back, keyed by reading order (as ``sort_reading_order``)."""
+    """An output line before its final id: mapped back, keyed by its frame id's ``reading_key``."""
 
     order: tuple[float, float, str]
     baseline: Polyline
@@ -165,8 +165,7 @@ def detect_multi_orientation(
                 if polygon is None:  # a merged line
                     polygon = rotate_polygon(line.polygon, frame_size, back)
                 baseline = Polyline(rotate90_points(line.baseline.points, frame_size, back))
-                x, y = baseline_midpoint(baseline)
-                lines.append(_Placed((y, x, line.id), baseline, line.ascender, line.descender, polygon))
+                lines.append(_Placed(reading_key(baseline, line.id), baseline, line.ascender, line.descender, polygon))
             lines.sort(key=lambda p: p.order)
             placed.append((rotate_polygon(block_polygon(group.lines), frame_size, back), lines))
 

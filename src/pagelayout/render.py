@@ -17,6 +17,7 @@ import numpy as np
 
 from ._raster import disk_window, polygon_window, stroke_window
 from .channels import ChannelMaps, OrientationMaps
+from .geometry import _segment_distance
 from .layout import PageLayout
 
 logger = logging.getLogger("pagelayout.render")
@@ -89,16 +90,12 @@ def render_orientation_gt(layout: PageLayout) -> OrientationMaps:
             rows += sl[0].start
             cols += sl[1].start
             pts = line.baseline.points
-            segs_p = pts[:-1]
-            segs_q = pts[1:]
-            deltas = segs_q - segs_p
-            lens = np.hypot(deltas[:, 0], deltas[:, 1])
-            units = deltas / lens[:, None]
+            deltas = np.diff(pts, axis=0)
+            units = deltas / np.hypot(deltas[:, 0], deltas[:, 1])[:, None]
             best_d = np.full(rows.shape, np.inf)
             best_i = np.zeros(rows.shape, dtype=np.int64)
-            for i, (p, dvec, l) in enumerate(zip(segs_p, deltas, lens)):
-                t = np.clip(((cols - p[0]) * dvec[0] + (rows - p[1]) * dvec[1]) / (l * l), 0.0, 1.0)
-                d = np.hypot(cols - (p[0] + t * dvec[0]), rows - (p[1] + t * dvec[1]))
+            for i, (p, dvec) in enumerate(zip(pts[:-1], deltas)):
+                d = _segment_distance(cols, rows, p, dvec)
                 closer = d < best_d
                 best_d[closer] = d[closer]
                 best_i[closer] = i

@@ -16,6 +16,7 @@ from ._rng import Rng
 from .channels import ChannelMaps
 
 TARGET_ASCENDER = 12.0
+DEFAULT_SCALE_THRESHOLD = 0.3  # raw base-channel value that marks a text pixel
 
 
 @dataclass(frozen=True)
@@ -32,7 +33,7 @@ class ScaleEstimate:
         }
 
 
-def estimate_scale(maps: ChannelMaps, raw_threshold: float = 0.3) -> ScaleEstimate:
+def estimate_scale(maps: ChannelMaps, raw_threshold: float = DEFAULT_SCALE_THRESHOLD) -> ScaleEstimate:
     """Median ascender over pixels where the raw base channel passes the threshold."""
     mask = maps.base >= raw_threshold
     if not mask.any():

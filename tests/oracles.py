@@ -636,3 +636,104 @@ def alpha_shape_oracle(points, alpha: float):
         return Polygon(pts[loop])
     except ValueError:
         return convex_hull(pts)
+
+
+# Point-to-segment distances and containment tests written out once per use,
+# each in its own arithmetic order: ``geometry._segment_distance`` and
+# ``geometry._contains_within`` must equal every one of them bit for bit.
+
+
+def segment_distance_grid_oracle(p, q, cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Distance from every (col, row) grid center to segment p-q, with its own zero-length branch."""
+    px, py = p
+    qx, qy = q
+    dx, dy = qx - px, qy - py
+    cc, rr = np.meshgrid(cols, rows)
+    seg_len2 = dx * dx + dy * dy
+    if seg_len2 <= 1e-18:
+        return np.hypot(cc - px, rr - py)
+    t = np.clip(((cc - px) * dx + (rr - py) * dy) / seg_len2, 0.0, 1.0)
+    return np.hypot(cc - (px + t * dx), rr - (py + t * dy))
+
+
+def points_ring_distance_oracle(ring: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Distance of many points to the ring boundary, all edges at once."""
+    nxt = np.roll(ring, -1, axis=0)
+    d = nxt - ring
+    l2 = np.maximum((d * d).sum(axis=1), 1e-18)[None, :]
+    px, py = pts[:, 0][:, None], pts[:, 1][:, None]
+    t = np.clip(((px - ring[:, 0][None, :]) * d[:, 0][None, :] + (py - ring[:, 1][None, :]) * d[:, 1][None, :]) / l2, 0.0, 1.0)
+    cx = ring[:, 0][None, :] + t * d[:, 0][None, :]
+    cy = ring[:, 1][None, :] + t * d[:, 1][None, :]
+    return np.hypot(px - cx, py - cy).min(axis=1)
+
+
+def _points_in_ring_oracle(ring: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    inside = np.zeros(len(pts), dtype=bool)
+    for (x1, y1), (x2, y2) in zip(ring, np.roll(ring, -1, axis=0)):
+        straddle = ((y1 <= pts[:, 1]) & (pts[:, 1] < y2)) | ((y2 <= pts[:, 1]) & (pts[:, 1] < y1))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x_cross = x1 + (pts[:, 1] - y1) / (y2 - y1) * (x2 - x1)
+        inside ^= straddle & (pts[:, 0] < x_cross)
+    return inside
+
+
+def textline_contains_oracle(ring: np.ndarray, pts: np.ndarray) -> bool:
+    """``TextLine``'s baseline test: no point outside the ring farther than 0.5 from it."""
+    outside = ~_points_in_ring_oracle(ring, pts)
+    return not (outside.any() and (points_ring_distance_oracle(ring, pts[outside]) > 0.5).any())
+
+
+def cleaned_ring_contains_oracle(ring: np.ndarray, pts: np.ndarray, tol: float = 0.45) -> bool:
+    """``polygon_from_baseline``'s test of a cleaned ring: every outside point within ``tol``."""
+    outside = ~_points_in_ring_oracle(ring, pts)
+    return bool((points_ring_distance_oracle(ring, pts[outside]) <= tol).all())
+
+
+def coverage_distance_oracle(q: np.ndarray, segs: np.ndarray, k: int) -> np.ndarray:
+    """Distance of points ``q`` to segment ``k`` of ``segs`` ((K, 2, 2) start and end points).
+
+    The squared lengths of all segments are taken at once, as baseline
+    coverage did before it shared the library's kernel.
+    """
+    d = segs[:, 1] - segs[:, 0]
+    l2 = np.maximum((d * d).sum(axis=1), 1e-18)
+    p = segs[k, 0]
+    t = np.clip(((q[:, 0] - p[0]) * d[k, 0] + (q[:, 1] - p[1]) * d[k, 1]) / l2[k], 0.0, 1.0)
+    return np.hypot(q[:, 0] - (p[0] + t * d[k, 0]), q[:, 1] - (p[1] + t * d[k, 1]))
+
+
+def render_orientation_oracle(layout) -> tuple[np.ndarray, np.ndarray]:
+    """``render_orientation_gt``'s ox and oy planes, with its own nearest-segment loop.
+
+    Each pixel inside a line polygon takes the unit direction of the
+    nearest baseline segment (the first on ties); ``t`` divides by the
+    squared ``hypot`` length.  Fills come from the library's
+    ``polygon_window``.
+    """
+    from pagelayout._raster import polygon_window
+
+    h, w = layout.size
+    ox = np.zeros((h, w), dtype=np.float32)
+    oy = np.zeros((h, w), dtype=np.float32)
+    for blk in layout.blocks:
+        for line in blk.lines:
+            sl, mask = polygon_window(line.polygon.ring, (h, w))
+            rows, cols = np.nonzero(mask)
+            rows += sl[0].start
+            cols += sl[1].start
+            pts = line.baseline.points
+            deltas = pts[1:] - pts[:-1]
+            lens = np.hypot(deltas[:, 0], deltas[:, 1])
+            units = deltas / lens[:, None]
+            best_d = np.full(rows.shape, np.inf)
+            best_i = np.zeros(rows.shape, dtype=np.int64)
+            for i, (p, dvec, length) in enumerate(zip(pts[:-1], deltas, lens)):
+                t = np.clip(((cols - p[0]) * dvec[0] + (rows - p[1]) * dvec[1]) / (length * length), 0.0, 1.0)
+                d = np.hypot(cols - (p[0] + t * dvec[0]), rows - (p[1] + t * dvec[1]))
+                closer = d < best_d
+                best_d[closer] = d[closer]
+                best_i[closer] = i
+            ox[rows, cols] = units[best_i, 0].astype(np.float32)
+            oy[rows, cols] = units[best_i, 1].astype(np.float32)
+    return ox, oy

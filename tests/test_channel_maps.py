@@ -87,6 +87,28 @@ class TestContainer:
         with pytest.raises(MapFormatError, match="channel set"):
             read_maps(data)
 
+    def test_repeated_channel_name(self):
+        import struct
+
+        records = b""
+        for k, name in enumerate(("base", "end", "asc", "des", "block", "base")):
+            plane = np.full((2, 2), 0.25 * (k % 5), dtype="<f4").tobytes()
+            records += struct.pack("<B", len(name)) + name.encode() + plane
+        data = b"PNCM" + struct.pack("<BIII", 1, 2, 2, 6) + records
+        with pytest.raises(MapFormatError, match="repeated channel 'base'"):
+            read_maps(data)
+
+    def test_one_plane_stack_type(self):
+        for cls, names in ((ChannelMaps, ["base", "end", "asc", "des", "block"]), (OrientationMaps, ["ox", "oy"])):
+            maps = cls.zeros(3, 5)
+            assert list(maps.channels()) == names
+            assert (maps.shape, maps.height, maps.width) == ((3, 5), 3, 5)
+            assert type(read_maps(write_maps(maps))) is cls
+        with pytest.raises(MapFormatError, match="share one shape"):
+            OrientationMaps(np.zeros((2, 2), np.float32), np.zeros((2, 3), np.float32))
+        with pytest.raises(MapFormatError, match="'ox' above"):
+            OrientationMaps(np.full((2, 2), 1.5, np.float32), np.zeros((2, 2), np.float32))
+
     def test_values_validated(self):
         with pytest.raises(MapFormatError, match="above"):
             ChannelMaps(

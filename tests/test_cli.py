@@ -2,6 +2,7 @@ import json
 import os
 import stat
 from dataclasses import fields, replace
+from inspect import signature
 
 import numpy as np
 import pytest
@@ -11,7 +12,10 @@ from pagelayout.blocks import BlockParams
 from pagelayout.channels import ChannelMaps, write_maps
 from pagelayout.cli import _params_from_args, build_parser, main
 from pagelayout.layout import load_layout, save_layout
+from pagelayout.losses import DEFAULT_HEIGHT_WEIGHT, total_loss
+from pagelayout.metrics import DEFAULT_IOU_THRESHOLD, evaluate
 from pagelayout.render import RenderParams, render_gt
+from pagelayout.scale import DEFAULT_SCALE_THRESHOLD, estimate_scale
 from pagelayout.synth import SynthConfig, generate
 
 
@@ -56,6 +60,17 @@ class TestSubcommands:
         expected = generate(SynthConfig(seed=3))
         assert layout.read_bytes() == save_layout(expected)
         assert maps.read_bytes() == write_maps(render_gt(expected, RenderParams()))
+
+    def test_parser_defaults_match_library(self):
+        def default(*argv):
+            return build_parser().parse_args(list(argv))
+
+        assert default("eval", "--pred", "p", "--gt", "g").iou_threshold == DEFAULT_IOU_THRESHOLD
+        assert default("loss", "p", "g").lam == DEFAULT_HEIGHT_WEIGHT
+        assert default("detect").scale_threshold == DEFAULT_SCALE_THRESHOLD
+        assert signature(estimate_scale).parameters["raw_threshold"].default == DEFAULT_SCALE_THRESHOLD
+        assert signature(evaluate).parameters["iou_threshold"].default == DEFAULT_IOU_THRESHOLD
+        assert signature(total_loss).parameters["lam"].default == DEFAULT_HEIGHT_WEIGHT
 
     def test_render_gt_matches_synth_maps(self, tmp_path):
         layout = tmp_path / "l.json"

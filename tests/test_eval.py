@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from pagelayout.geometry import Polygon, Polyline
+from pagelayout.blocks import polygon_from_baseline
+from pagelayout.geometry import Polygon, Polyline, polygon_iou
 from pagelayout.layout import PageLayout
 from pagelayout.metrics import build_report, evaluate, f_value, match_baselines, match_polygons
 from pagelayout.synth import SynthConfig, generate
@@ -123,6 +124,23 @@ class TestMatchPolygons:
             p, r, _ = match_polygons(pred, gt)
             assert p == pytest.approx(tp / len(pred))
             assert r == pytest.approx(tp / len(gt))
+
+        # non-rectangular line polygons, half of them near-copies: the scores
+        # equal greedy matching over per-pair scalar polygon_iou results
+        def line_poly():
+            n = int(rng.integers(2, 6))
+            base = np.stack([np.cumsum(rng.uniform(3, 15, n)), 20 + np.cumsum(rng.uniform(-4, 4, n))], axis=1)
+            return polygon_from_baseline(base + rng.uniform(0, 30, 2), rng.uniform(3, 12), rng.uniform(0, 5))
+
+        for _ in range(60):
+            gt = [line_poly() for _ in range(int(rng.integers(1, 7)))]
+            pred = [
+                Polygon(g.ring + rng.uniform(-1.5, 1.5, 2)) if rng.uniform() < 0.5 else line_poly() for g in gt
+            ][: int(rng.integers(1, len(gt) + 1))]
+            iou = np.array([[polygon_iou(a, b) for b in gt] for a in pred])
+            for threshold in (0.3, 0.5, 0.7):
+                tp = greedy_match_oracle(iou, threshold)
+                assert match_polygons(pred, gt, threshold) == (tp / len(pred), tp / len(gt), f_value(tp / len(pred), tp / len(gt)))
 
     def test_order_invariance(self):
         rng = np.random.default_rng(2)

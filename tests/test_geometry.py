@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from pagelayout.blocks import block_polygon
+from pagelayout.blocks import block_polygon, polygon_from_baseline
 from pagelayout.geometry import (
     Polygon,
     Polyline,
+    _contains_within,
+    _segment_distance,
     alpha_shape,
     convex_hull,
     horizontal_overlap,
@@ -18,10 +20,15 @@ from pagelayout.geometry import (
 from conftest import make_line
 from oracles import (
     alpha_shape_oracle,
+    cleaned_ring_contains_oracle,
+    coverage_distance_oracle,
     intersection_area_oracle,
+    points_ring_distance_oracle,
     raster_iou_oracle,
     rect_iou_oracle,
     rotate_index_oracle,
+    segment_distance_grid_oracle,
+    textline_contains_oracle,
 )
 
 
@@ -248,6 +255,81 @@ class TestStoredBounds:
                 lo, hi = p.ring.min(axis=0), p.ring.max(axis=0)
                 assert p.bounds() == (lo[0], lo[1], hi[0], hi[1])
                 assert all(type(v) is float for v in p.bounds())
+
+
+def random_segments(rng, n):
+    """Starts and directions of ``n`` segments; the first quarter has zero length."""
+    p = rng.uniform(-20, 20, (n, 2))
+    d = rng.uniform(-15, 15, (n, 2))
+    d[: n // 4] = 0.0
+    return p, d
+
+
+def line_ring_cases(seed, count):
+    """Wavy or zigzag baselines with the line polygons ``polygon_from_baseline`` builds for them."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 10))
+        xs = np.cumsum(rng.uniform(2, 30, n))
+        ys = 60 + np.cumsum(rng.uniform(-12, 12, n))
+        base = np.stack([xs, ys], axis=1)
+        yield base, polygon_from_baseline(base, rng.uniform(1, 25), rng.uniform(0, 10))
+
+
+class TestSharedSegmentDistance:
+    """``_segment_distance`` equals each formula it replaced, to the last bit."""
+
+    def test_stroke_grid(self):
+        rng = np.random.default_rng(41)
+        p, d = random_segments(rng, 60)
+        for pk, dk in zip(p, d):
+            q = pk + dk
+            lo, hi = np.floor(np.minimum(pk, q)) - 3, np.ceil(np.maximum(pk, q)) + 4
+            for cols, rows in (
+                (np.arange(lo[0], hi[0]).astype(np.int64), np.arange(lo[1], hi[1]).astype(np.int64)),
+                (rng.uniform(lo[0], hi[0], 9), rng.uniform(lo[1], hi[1], 7)),
+            ):
+                got = _segment_distance(cols[None, :], rows[:, None], pk, q - pk)
+                assert np.array_equal(got, segment_distance_grid_oracle(pk, q, cols, rows))
+
+    def test_coverage_segments(self):
+        rng = np.random.default_rng(42)
+        p, d = random_segments(rng, 80)
+        segs = np.stack([p, p + d], axis=1)
+        q = np.vstack([rng.uniform(-40, 40, (300, 2)), segs[:, 0], segs[:, 1]])  # and every segment end
+        dd = segs[:, 1] - segs[:, 0]
+        for k in range(len(segs)):
+            assert np.array_equal(_segment_distance(q[:, 0], q[:, 1], segs[k, 0], dd[k]), coverage_distance_oracle(q, segs, k))
+
+
+class TestSharedContainment:
+    """``_contains_within`` equals the TextLine test (tol 0.5) and the cleaned-ring test (tol 0.45)."""
+
+    def test_baselines_in_their_line_polygons(self):
+        for base, poly in line_ring_cases(43, 300):
+            assert _contains_within(poly, base, 0.5) == textline_contains_oracle(poly.ring, base)
+            assert _contains_within(poly, base, 0.45) == cleaned_ring_contains_oracle(poly.ring, base)
+
+    def test_single_points_flip_at_the_ring_distance(self):
+        rng = np.random.default_rng(44)
+        for base, poly in line_ring_cases(45, 20):
+            ring = poly.ring
+            pts = np.vstack(
+                [
+                    base,
+                    ring,  # segment ends
+                    ring + rng.uniform(-0.6, 0.6, ring.shape),
+                    rng.uniform(ring.min(axis=0) - 3, ring.max(axis=0) + 3, (40, 2)),
+                ]
+            )
+            dist = points_ring_distance_oracle(ring, pts)
+            for pt, dk in zip(pts, dist):
+                one = pt[None]
+                assert _contains_within(poly, one, 0.5) == textline_contains_oracle(ring, one)
+                assert _contains_within(poly, one, 0.45) == cleaned_ring_contains_oracle(ring, one)
+                if not _contains_within(poly, one, 0.0):  # outside: the helper's distance is exactly dk
+                    assert _contains_within(poly, one, dk)
+                    assert not _contains_within(poly, one, np.nextafter(dk, -np.inf))
 
 
 class TestHorizontalOverlap:

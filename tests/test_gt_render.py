@@ -6,7 +6,7 @@ from pagelayout.render import RenderParams, render_gt, render_orientation_gt
 from pagelayout.synth import SynthConfig, generate
 
 from conftest import make_block, make_line, make_page
-from oracles import polygon_pixels_oracle
+from oracles import polygon_pixels_oracle, render_orientation_oracle
 
 
 def segment_distance(px, py, x0, y0, x1, y1):
@@ -121,3 +121,11 @@ class TestRenderOrientation:
         omaps = render_orientation_gt(simple_page)
         assert omaps.ox[0, 0] == 0 and omaps.oy[0, 0] == 0
         assert not omaps.ox[60:, :].any()
+
+    def test_matches_former_nearest_segment_loop(self):
+        for vp in (0.3, 1.0):
+            for seed in range(12):
+                layout = generate(SynthConfig(seed=seed, vertical_line_prob=vp, baseline_jitter=seed % 3))
+                omaps = render_orientation_gt(layout)
+                ox, oy = render_orientation_oracle(layout)
+                assert np.array_equal(omaps.ox, ox) and np.array_equal(omaps.oy, oy), (vp, seed)
