@@ -77,12 +77,17 @@ class _PlaneStack:
     def channels(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in self.RANGES}
 
+    def __eq__(self, other):  # value equality: the same stack type with equal planes
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, name), getattr(other, name)) for name in self.RANGES)
+
     @classmethod
     def zeros(cls, height: int, width: int):
         return cls(**{name: np.zeros((height, width), dtype=np.float32) for name in cls.RANGES})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelMaps(_PlaneStack):
     """The five detection channels; base/end/block in [0,1], asc/des >= 0."""
 
@@ -95,7 +100,7 @@ class ChannelMaps(_PlaneStack):
     block: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrientationMaps(_PlaneStack):
     """Unit-circle orientation field; both planes in [-1, 1]."""
 

@@ -8,10 +8,13 @@ engine's standard constants.  Outputs are deterministic for identical
 inputs, seeds and ``--jobs`` settings.
 
 Exit codes: 0 success, 1 input/usage error, 2 internal invariant failure.
-Batch ``detect`` goes on past pages that fail, lists them on stderr and
-exits with the highest of their codes; each of its outputs is written to a
-temporary file in its directory and renamed into place, so none is ever
-left half-written.
+``detect`` and ``eval`` go on past pages that fail, list them on stderr and
+exit with the highest of their codes; a single page is a batch of one and
+fails the same way.  ``eval`` then writes no report.  Every output is
+written to a temporary file in its directory and renamed into place, so none
+is ever left half-written, and an output path must name a regular file (or a
+symlink to one), not a device; ``loss`` and ``eval`` print to stdout without
+``--out`` and ``--report``.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ import multiprocessing
 import os
 import sys
 from dataclasses import fields
+from functools import partial
+from inspect import signature
 from pathlib import Path
 
 from .baselines import ExtractParams
@@ -85,6 +90,10 @@ def _params_from_args(args) -> tuple[ExtractParams, BlockParams]:
     return _from_args(ExtractParams, args), _from_args(BlockParams, args)
 
 
+# synth's corruption flags (argparse dest) and the ``corrupt`` parameter each one sets
+_CORRUPT_FLAGS = {"noise_sigma": "noise_sigma", "blur": "blur_size", "dropout": "dropout_prob", "corrupt_seed": "rng_seed"}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="pagelayout", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -96,10 +105,9 @@ def build_parser() -> _Parser:
     p.add_argument("--orient-maps", help="also write rendered GT orientation maps (.pncm)")
     p.add_argument("--maps-rotated", help="prefix: write <prefix>.{0,90,270}.pncm rotated detection maps")
     _add_field_flags(p, "generator parameters (--page-size is H:W)", SynthConfig, skip=("seed",))
-    p.add_argument("--noise-sigma", type=float, default=0.0)
-    p.add_argument("--blur", type=int, default=1)
-    p.add_argument("--dropout", type=float, default=0.0)
-    p.add_argument("--corrupt-seed", type=int, default=0)
+    for dest, name in _CORRUPT_FLAGS.items():  # at corrupt's defaults the maps stay clean
+        default = signature(corrupt).parameters[name].default
+        p.add_argument("--" + dest.replace("_", "-"), type=type(default), default=default)
 
     p = sub.add_parser("render-gt", help="render GT channel maps from a layout")
     p.add_argument("--layout", required=True)
@@ -145,57 +153,10 @@ def _read_maps(path: str, cls=ChannelMaps):
     return maps
 
 
-def _cmd_synth(args) -> int:
-    layout = generate(_from_args(SynthConfig, args))
-    Path(args.out).write_bytes(save_layout(layout))
-    needs_maps = args.maps or args.maps_rotated
-    if needs_maps:
-        maps = render_gt(layout)
-        if args.noise_sigma > 0 or args.blur > 1 or args.dropout > 0:
-            maps = corrupt(maps, args.noise_sigma, args.blur, args.dropout, args.corrupt_seed)
-        if args.maps:
-            Path(args.maps).write_bytes(write_maps(maps))
-        if args.maps_rotated:
-            for turns, tag in ((0, "0"), (1, "90"), (3, "270")):
-                Path(f"{args.maps_rotated}.{tag}.pncm").write_bytes(write_maps(rotate_maps(maps, turns)))
-    if args.orient_maps:
-        Path(args.orient_maps).write_bytes(write_maps(render_orientation_gt(layout)))
-    return 0
-
-
-def _cmd_render_gt(args) -> int:
-    layout = load_layout(Path(args.layout).read_bytes())
-    Path(args.maps).write_bytes(write_maps(render_gt(layout, _from_args(RenderParams, args))))
-    if args.orient_maps:
-        Path(args.orient_maps).write_bytes(write_maps(render_orientation_gt(layout)))
-    return 0
-
-
-def _detect_single(maps_path: str, args) -> bytes:
-    ep, bp = _params_from_args(args)
-    maps = _read_maps(maps_path)
-    page_id = Path(maps_path).stem
-    if args.multi_orient:
-        if not (args.maps_90 and args.maps_270 and args.orient_maps):
-            raise CliError("--multi-orient requires --maps-90, --maps-270 and --orient-maps")
-        maps_by_turn = {0: maps, 1: _read_maps(args.maps_90), 3: _read_maps(args.maps_270)}
-        layout = detect_multi_orientation(
-            maps_by_turn,
-            _read_maps(args.orient_maps, OrientationMaps),
-            ep,
-            bp,
-            merge=not args.no_line_merge,
-            page_id=page_id,
-        )
-    else:
-        layout = extract_page(maps, ep, bp, merge=not args.no_line_merge, page_id=page_id)
-    return save_layout(layout)
-
-
-def _write_atomic(path: Path, data: bytes):
+def _write_atomic(path, data: bytes):
     """Write through a temporary file in the target's directory, so ``path`` is never left partial.
 
-    The file gets the mode ``Path.write_bytes`` would give it (0666 less the
+    The file gets the mode a plain ``open`` would give it (0666 less the
     umask), and a symlink at ``path`` is written through, not replaced.
     """
     target = Path(os.path.realpath(path))
@@ -210,24 +171,85 @@ def _write_atomic(path: Path, data: bytes):
         raise
 
 
-def _detect_worker(task) -> tuple[int, str] | None:
-    """Detect one page of a batch; None on success, else (exit code, message)."""
-    maps_path, out_path, args = task
+def _emit(text: str, path: str | None):
+    """One JSON document to ``path``, or to stdout without one."""
+    if path:
+        _write_atomic(path, (text + "\n").encode())
+    else:
+        print(text)
+
+
+def _cmd_synth(args) -> int:
+    layout = generate(_from_args(SynthConfig, args))
+    _write_atomic(args.out, save_layout(layout))
+    if args.maps or args.maps_rotated:
+        maps = corrupt(render_gt(layout), **{name: getattr(args, dest) for dest, name in _CORRUPT_FLAGS.items()})
+        if args.maps:
+            _write_atomic(args.maps, write_maps(maps))
+        if args.maps_rotated:
+            for turns, tag in ((0, "0"), (1, "90"), (3, "270")):
+                _write_atomic(f"{args.maps_rotated}.{tag}.pncm", write_maps(rotate_maps(maps, turns)))
+    if args.orient_maps:
+        _write_atomic(args.orient_maps, write_maps(render_orientation_gt(layout)))
+    return 0
+
+
+def _cmd_render_gt(args) -> int:
+    layout = load_layout(Path(args.layout).read_bytes())
+    _write_atomic(args.maps, write_maps(render_gt(layout, _from_args(RenderParams, args))))
+    if args.orient_maps:
+        _write_atomic(args.orient_maps, write_maps(render_orientation_gt(layout)))
+    return 0
+
+
+def _page(work, task) -> tuple[int, object]:
+    """``(0, work(task))``, or ``(exit code, message)`` for page ``task[0]``: no exception crosses processes."""
     try:
-        _write_atomic(Path(out_path), _detect_single(maps_path, args))
+        return 0, work(task)
     except _INPUT_ERRORS as exc:
-        return 1, f"{maps_path}: {exc}"
+        return 1, f"{task[0]}: {exc}"
     except Exception as exc:  # internal invariant failure
-        return 2, f"{maps_path}: internal error: {type(exc).__name__}: {exc}"
-    return None
+        return 2, f"{task[0]}: internal error: {type(exc).__name__}: {exc}"
+
+
+def _run_pages(work, tasks: list, jobs: int) -> tuple[list, int]:
+    """``work`` on every page, in ``jobs`` processes if more than one: (results in task order, 0),
+    or, with the failed pages listed on stderr, ([], their highest exit code)."""
+    run = partial(_page, work)
+    if jobs > 1 and len(tasks) > 1:
+        with multiprocessing.Pool(min(jobs, len(tasks))) as pool:
+            outcomes = pool.map(run, tasks)
+    else:
+        outcomes = [run(task) for task in tasks]
+    failures = [(code, message) for code, message in outcomes if code]
+    if not failures:
+        return [result for _, result in outcomes], 0
+    print(f"error: {len(failures)} of {len(tasks)} pages failed:", file=sys.stderr)
+    for _, message in failures:
+        print(f"  {message}", file=sys.stderr)
+    return [], max(code for code, _ in failures)
+
+
+def _detect_page(task):
+    """Detect the page at ``maps_path`` and write its layout to ``out_path``."""
+    maps_path, out_path, args = task
+    ep, bp = _params_from_args(args)
+    maps = _read_maps(maps_path)
+    page_id = Path(maps_path).stem
+    if args.multi_orient:
+        maps_by_turn = {0: maps, 1: _read_maps(args.maps_90), 3: _read_maps(args.maps_270)}
+        orient_maps = _read_maps(args.orient_maps, OrientationMaps)
+        layout = detect_multi_orientation(maps_by_turn, orient_maps, ep, bp, merge=not args.no_line_merge, page_id=page_id)
+    else:
+        layout = extract_page(maps, ep, bp, merge=not args.no_line_merge, page_id=page_id)
+    _write_atomic(out_path, save_layout(layout))
 
 
 def _cmd_detect(args) -> int:
     if args.report_scale:
         if not args.maps:
             raise CliError("--report-scale requires --maps")
-        est = estimate_scale(_read_maps(args.maps), args.scale_threshold)
-        print(json.dumps(est.as_dict()))
+        print(json.dumps(estimate_scale(_read_maps(args.maps), args.scale_threshold).as_dict()))
         return 0
     if args.in_dir:
         if not args.out_dir:
@@ -235,48 +257,33 @@ def _cmd_detect(args) -> int:
         if args.multi_orient:
             # --maps-90/--maps-270/--orient-maps name one page's files
             raise CliError("--multi-orient takes one page (--maps ...), not --in-dir")
-        in_dir = Path(args.in_dir)
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        tasks = [
-            (str(path), str(out_dir / (path.stem + ".json")), args)
-            for path in sorted(in_dir.glob("*.pncm"))
-        ]
+        tasks = [(str(path), str(out_dir / (path.stem + ".json")), args) for path in sorted(Path(args.in_dir).glob("*.pncm"))]
         if not tasks:
-            raise CliError(f"no .pncm files in {in_dir}")
-        if args.jobs > 1:
-            with multiprocessing.Pool(min(args.jobs, len(tasks))) as pool:
-                failures = [f for f in pool.map(_detect_worker, tasks) if f]
-        else:
-            failures = [f for f in map(_detect_worker, tasks) if f]
-        if failures:
-            print(f"error: {len(failures)} of {len(tasks)} pages failed:", file=sys.stderr)
-            for _, message in failures:
-                print(f"  {message}", file=sys.stderr)
-            return max(code for code, _ in failures)
-        return 0
-    if not (args.maps and args.out):
+            raise CliError(f"no .pncm files in {args.in_dir}")
+    elif not (args.maps and args.out):
         raise CliError("detect needs --maps and --out (or --in-dir/--out-dir)")
-    Path(args.out).write_bytes(_detect_single(args.maps, args))
-    return 0
+    elif args.multi_orient and not (args.maps_90 and args.maps_270 and args.orient_maps):
+        raise CliError("--multi-orient requires --maps-90, --maps-270 and --orient-maps")
+    else:
+        tasks = [(args.maps, args.out, args)]
+    return _run_pages(_detect_page, tasks, args.jobs)[1]
 
 
 def _cmd_loss(args) -> int:
-    pred = _read_maps(args.pred)
-    gt = _read_maps(args.gt)
-    breakdown = total_loss(pred, gt, lam=args.lam)
-    text = json.dumps(breakdown.as_dict())
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
+    breakdown = total_loss(_read_maps(args.pred), _read_maps(args.gt), lam=args.lam)
+    _emit(json.dumps(breakdown.as_dict()), args.out)
     return 0
 
 
-def _eval_pair(task):
+def _eval_page(task):
     pred_path, gt_path, iou = task
     pred = load_layout(Path(pred_path).read_bytes())
-    gt = load_layout(Path(gt_path).read_bytes())
+    try:
+        gt = load_layout(Path(gt_path).read_bytes())
+    except LayoutError as exc:
+        raise CliError(f"ground truth {gt_path}: {exc}") from exc
     return evaluate(pred, gt, iou_threshold=iou)
 
 
@@ -296,18 +303,11 @@ def _cmd_eval(args) -> int:
         tasks = [(str(pred_path), str(gt_path), args.iou_threshold)]
     if not tasks:
         raise CliError("nothing to evaluate")
-    if args.jobs > 1 and len(tasks) > 1:
-        with multiprocessing.Pool(min(args.jobs, len(tasks))) as pool:
-            pages = pool.map(_eval_pair, tasks)
-    else:
-        pages = [_eval_pair(t) for t in tasks]
-    report = build_report(pages)
-    text = json.dumps(report.as_dict())
-    if args.report:
-        Path(args.report).write_text(text + "\n")
-    else:
-        print(text)
-    return 0
+    # a mean over the pages that did not fail would read as the score of the whole set
+    pages, code = _run_pages(_eval_page, tasks, args.jobs)
+    if not code:
+        _emit(json.dumps(build_report(pages).as_dict()), args.report)
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -9,6 +9,7 @@ the model invariants and reports the path of the offending field.
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -19,6 +20,9 @@ from . import _raster
 from .geometry import Polygon, Polyline, _contains_within, intersection_area, offset_chains
 
 _CONTAIN_MIN = 0.95  # fraction of a line polygon its block must cover
+# bound on every coordinate, height and size ``load_layout`` accepts: far
+# beyond any page, and products of two such numbers stay finite in float64
+_MAX_MAGNITUDE = 2**31
 
 
 class LayoutError(ValueError):
@@ -27,6 +31,10 @@ class LayoutError(ValueError):
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
         self.path = path
+        self.message = message
+
+    def __reduce__(self):  # the default would call ``LayoutError(str(self))`` and fail
+        return type(self), (self.path, self.message)
 
 
 def baseline_midpoint(baseline: Polyline) -> tuple[float, float]:
@@ -222,18 +230,21 @@ def _expect(cond: bool, path: str, message: str):
         raise LayoutError(path, message)
 
 
+def _number(value, path: str, kind=(int, float)):
+    """``value`` as a float if it is a finite ``kind`` (never a bool) of magnitude at most ``_MAX_MAGNITUDE``."""
+    _expect(isinstance(value, kind) and not isinstance(value, bool), path, "expected an integer" if kind is int else "expected a number")
+    _expect(abs(value) < math.inf, path, "non-finite value")  # also false for NaN
+    _expect(abs(value) <= _MAX_MAGNITUDE, path, f"magnitude above {_MAX_MAGNITUDE}")
+    return float(value)
+
+
 def _parse_points(value, path: str, min_len: int) -> np.ndarray:
     _expect(isinstance(value, list) and len(value) >= min_len, path, f"expected a list of >= {min_len} points")
     pts = []
     for i, item in enumerate(value):
-        _expect(
-            isinstance(item, list) and len(item) == 2 and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in item),
-            f"{path}[{i}]",
-            "expected [x, y] numbers",
-        )
-        x, y = float(item[0]), float(item[1])
-        _expect(np.isfinite(x) and np.isfinite(y), f"{path}[{i}]", "non-finite coordinate")
-        pts.append((x, y))
+        at = f"{path}[{i}]"
+        _expect(isinstance(item, list) and len(item) == 2, at, "expected [x, y] numbers")
+        pts.append((_number(item[0], at), _number(item[1], at)))
     return np.asarray(pts, dtype=np.float64)
 
 
@@ -262,7 +273,7 @@ def load_layout(data: bytes | str) -> PageLayout:
     _expect(isinstance(doc, dict), "$", "expected an object")
     _expect(isinstance(doc.get("page_id"), str), "page_id", "expected a string")
     for key in ("height", "width"):
-        _expect(isinstance(doc.get(key), int) and not isinstance(doc.get(key), bool), key, "expected an integer")
+        _number(doc.get(key), key, int)
     _expect(isinstance(doc.get("blocks"), list), "blocks", "expected a list")
 
     blocks = []
@@ -276,16 +287,11 @@ def load_layout(data: bytes | str) -> PageLayout:
             lpath = f"{bpath}.lines[{li}]"
             _expect(isinstance(ldoc, dict), lpath, "expected an object")
             _expect(isinstance(ldoc.get("id"), str), f"{lpath}.id", "expected a string")
-            for key in ("ascender", "descender"):
-                v = ldoc.get(key)
-                _expect(isinstance(v, (int, float)) and not isinstance(v, bool), f"{lpath}.{key}", "expected a number")
-                _expect(np.isfinite(float(v)), f"{lpath}.{key}", "non-finite value")
+            asc, des = (_number(ldoc.get(key), f"{lpath}.{key}") for key in ("ascender", "descender"))
             bl = _parse_points(ldoc.get("baseline"), f"{lpath}.baseline", 2)
             ring = _parse_points(ldoc.get("polygon"), f"{lpath}.polygon", 3)
             with _reported_at(lpath):
-                lines.append(
-                    TextLine(ldoc["id"], Polyline(bl), float(ldoc["ascender"]), float(ldoc["descender"]), Polygon(ring))
-                )
+                lines.append(TextLine(ldoc["id"], Polyline(bl), asc, des, Polygon(ring)))
         ring = _parse_points(bdoc.get("polygon"), f"{bpath}.polygon", 3)
         with _reported_at(bpath):
             blocks.append(TextBlock(bdoc["id"], lines, Polygon(ring)))

@@ -109,6 +109,19 @@ class TestContainer:
         with pytest.raises(MapFormatError, match="'ox' above"):
             OrientationMaps(np.full((2, 2), 1.5, np.float32), np.zeros((2, 2), np.float32))
 
+    def test_stacks_compare_by_value(self):
+        for cls in (ChannelMaps, OrientationMaps):
+            a, b = cls.zeros(2, 2), cls.zeros(2, 2)
+            assert a == b and not (a != b)
+            assert read_maps(write_maps(a)) == a
+            planes = a.channels()
+            planes[next(iter(planes))] = np.full((2, 2), 0.5, np.float32)
+            assert a != cls(**planes)
+            assert a != cls.zeros(2, 3)
+        assert ChannelMaps.zeros(2, 2) != OrientationMaps.zeros(2, 2)
+        assert OrientationMaps.zeros(2, 2) != ChannelMaps.zeros(2, 2)
+        assert ChannelMaps.zeros(2, 2) != "not a stack"
+
     def test_values_validated(self):
         with pytest.raises(MapFormatError, match="above"):
             ChannelMaps(

@@ -1,8 +1,11 @@
 import json
 import os
 import stat
+import subprocess
+import sys
 from dataclasses import fields, replace
 from inspect import signature
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +19,9 @@ from pagelayout.losses import DEFAULT_HEIGHT_WEIGHT, total_loss
 from pagelayout.metrics import DEFAULT_IOU_THRESHOLD, evaluate
 from pagelayout.render import RenderParams, render_gt
 from pagelayout.scale import DEFAULT_SCALE_THRESHOLD, estimate_scale
-from pagelayout.synth import SynthConfig, generate
+from pagelayout.synth import SynthConfig, corrupt, generate
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(args):
@@ -71,6 +76,10 @@ class TestSubcommands:
         assert signature(estimate_scale).parameters["raw_threshold"].default == DEFAULT_SCALE_THRESHOLD
         assert signature(evaluate).parameters["iou_threshold"].default == DEFAULT_IOU_THRESHOLD
         assert signature(total_loss).parameters["lam"].default == DEFAULT_HEIGHT_WEIGHT
+        synth = default("synth", "--seed", "0", "--out", "l.json")
+        corrupt_defaults = {name: p.default for name, p in signature(corrupt).parameters.items() if name != "maps"}
+        assert corrupt_defaults == dict(noise_sigma=0.0, blur_size=1, dropout_prob=0.0, rng_seed=0)
+        assert (synth.noise_sigma, synth.blur, synth.dropout, synth.corrupt_seed) == tuple(corrupt_defaults.values())
 
     def test_render_gt_matches_synth_maps(self, tmp_path):
         layout = tmp_path / "l.json"
@@ -209,6 +218,72 @@ class TestErrors:
         assert stat.S_IMODE((elsewhere / "p1.json").stat().st_mode) == want
         assert json.loads((elsewhere / "p1.json").read_bytes())
         assert sorted(p.name for p in out_dir.iterdir()) == ["p0.json", "p1.json"]  # no temporaries left
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_eval_continues_past_bad_pages_and_writes_no_report(self, tmp_path, jobs):
+        # in a subprocess with a timeout, so a pool that hangs on a failed page fails the test
+        pred_dir, gt_dir = tmp_path / "pred", tmp_path / "gt"
+        for d in (pred_dir, gt_dir):
+            d.mkdir()
+        for seed in range(3):
+            assert run(["synth", "--seed", seed, "--out", gt_dir / f"p{seed}.json"]) == 0
+            (pred_dir / f"p{seed}.json").write_bytes((gt_dir / f"p{seed}.json").read_bytes())
+        (pred_dir / "p0.json").write_text("{}")  # malformed: no page_id
+        (pred_dir / "p2.json").write_text('{"page_id": "p2", "height": 1e999}')
+        report = tmp_path / "r.json"
+        args = ["eval", "--pred", pred_dir, "--gt", gt_dir, "--report", report, "--jobs", jobs]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pagelayout.cli", *map(str, args)], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert "2 of 3 pages failed" in proc.stderr
+        assert str(pred_dir / "p0.json") in proc.stderr and str(pred_dir / "p2.json") in proc.stderr
+        assert str(pred_dir / "p1.json") not in proc.stderr
+        assert not report.exists()
+
+    def test_single_page_fails_in_the_batch_format(self, tmp_path, capsys):
+        maps, out = tmp_path / "nope.pncm", tmp_path / "p.json"
+        assert run(["detect", "--maps", maps, "--out", out]) == 1
+        assert capsys.readouterr().err.startswith(f"error: 1 of 1 pages failed:\n  {maps}: ")
+        assert not out.exists()
+        bad = tmp_path / "bad.json"
+        bad.write_text("[]")
+        assert run(["eval", "--pred", bad, "--gt", bad, "--report", tmp_path / "r.json"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: 1 of 1 pages failed:\n  {bad}: $: expected an object")
+        assert not (tmp_path / "r.json").exists()
+
+    def test_every_output_written_through_symlinks_without_temporaries(self, tmp_path):
+        work, elsewhere = tmp_path / "work", tmp_path / "elsewhere"
+        work.mkdir()
+        elsewhere.mkdir()
+        gt, maps = tmp_path / "gt.json", tmp_path / "gt.pncm"
+        assert run(["synth", "--seed", 4, "--out", gt, "--maps", maps]) == 0
+        commands = {
+            "synth.json": ["synth", "--seed", 4, "--out", work / "synth.json", "--maps", work / "synth.pncm"],
+            "render.pncm": ["render-gt", "--layout", gt, "--maps", work / "render.pncm"],
+            "detect.json": ["detect", "--maps", maps, "--out", work / "detect.json"],
+            "loss.json": ["loss", maps, maps, "--out", work / "loss.json"],
+            "eval.json": ["eval", "--pred", gt, "--gt", gt, "--report", work / "eval.json"],
+        }
+        names = sorted([*commands, "synth.pncm"])
+        old_inodes = {}
+        for name in names:
+            (elsewhere / name).write_bytes(b"old")
+            old_inodes[name] = (elsewhere / name).stat().st_ino
+            (work / name).symlink_to(elsewhere / name)
+        for argv in commands.values():
+            assert run(argv) == 0
+        assert sorted(p.name for p in work.iterdir()) == names
+        assert sorted(p.name for p in elsewhere.iterdir()) == names  # no temporaries left in either
+        for name in names:
+            assert (work / name).is_symlink()
+            assert (elsewhere / name).stat().st_ino != old_inodes[name], f"{name} rewritten in place, not renamed over"
+        assert (elsewhere / "synth.json").read_bytes() == gt.read_bytes()
+        assert (elsewhere / "synth.pncm").read_bytes() == maps.read_bytes() == (elsewhere / "render.pncm").read_bytes()
+        assert json.loads((elsewhere / "loss.json").read_text())["total"] == 0.0
+        assert json.loads((elsewhere / "eval.json").read_text())["aggregate"]["block"]["f"] == 1.0
+        assert load_layout((elsewhere / "detect.json").read_bytes()).blocks
 
     def test_eval_mismatched_modes_exits_1(self, tmp_path):
         f = tmp_path / "x.json"

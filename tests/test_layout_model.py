@@ -1,4 +1,6 @@
 import json
+import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -75,6 +77,52 @@ class TestValidation:
         doc["height"] = 64.5
         with pytest.raises(LayoutError, match="height"):
             load_layout(json.dumps(doc).encode())
+
+    def test_layout_error_pickles_with_path_and_message(self):
+        err = pickle.loads(pickle.dumps(LayoutError("blocks[0].id", "expected a string")))
+        assert type(err) is LayoutError
+        assert (err.path, err.message, str(err)) == ("blocks[0].id", "expected a string", "blocks[0].id: expected a string")
+
+    @pytest.mark.parametrize(
+        "edit, path",
+        [
+            (lambda doc: doc.update(height=10**400), "height"),
+            (lambda doc: doc.update(width=-(2**31) - 1), "width"),
+            (lambda doc: doc["blocks"][0]["lines"][0].update(ascender=1e200), r"blocks\[0\].lines\[0\].ascender"),
+            (lambda doc: doc["blocks"][0]["lines"][0].update(descender=10**400), r"blocks\[0\].lines\[0\].descender"),
+            (lambda doc: doc["blocks"][0]["polygon"][1].__setitem__(0, 1e200), r"blocks\[0\].polygon\[1\]"),
+            (lambda doc: doc["blocks"][0]["lines"][0]["baseline"][0].__setitem__(1, -(10**400)), r"lines\[0\].baseline\[0\]"),
+        ],
+        ids=["height", "width", "ascender", "descender", "block-polygon", "baseline"],
+    )
+    def test_load_rejects_out_of_range_numbers(self, simple_page, edit, path):
+        doc = json.loads(save_layout(simple_page))
+        edit(doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LayoutError, match=path + ": magnitude above 2147483648"):
+                load_layout(json.dumps(doc).encode())
+
+    def test_load_rejects_huge_page_and_geometry(self):
+        # one block on a page of height 10**400; one spanning 0..1e200 with a baseline to 5e199
+        big_page = {"page_id": "p", "height": 10**400, "width": 10, "blocks": [
+            {"id": "b0", "polygon": [[0, 0], [10, 0], [10, 10], [0, 10]], "lines": [
+                {"id": "l0", "baseline": [[1, 5], [9, 5]], "ascender": 2, "descender": 1,
+                 "polygon": [[1, 3], [9, 3], [9, 6], [1, 6]]}]}]}
+        big = 1e200
+        huge_geometry = {"page_id": "p", "height": 10, "width": 10, "blocks": [
+            {"id": "b0", "polygon": [[0, 0], [big, 0], [big, big], [0, big]], "lines": [
+                {"id": "l0", "baseline": [[0, big / 2], [big / 2, big / 2]], "ascender": 2, "descender": 1,
+                 "polygon": [[0, 0], [big, 0], [big, big], [0, big]]}]}]}
+        for doc, path in ((big_page, "height"), (huge_geometry, r"blocks\[0\].lines\[0\].baseline\[0\]")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(LayoutError, match=path + ": magnitude above"):
+                    load_layout(json.dumps(doc).encode())
+
+    def test_load_accepts_numbers_at_the_bound(self):
+        doc = {"page_id": "p", "height": 2**31, "width": 2**31, "blocks": []}
+        assert load_layout(json.dumps(doc).encode()).size == (2**31, 2**31)
 
     def test_duplicate_line_ids_rejected(self):
         l0 = make_line("l0", 8, 80, 20, 10.0, 3.0)
