@@ -24,14 +24,13 @@ from .channels import (
     rotate_maps,
     write_maps,
 )
-from .geometry import Point, Polygon, Polyline, alpha_shape, horizontal_overlap, polygon_iou, rotate90
+from .geometry import Polygon, Polyline, alpha_shape, polygon_iou
 from .layout import (
     LayoutError,
     PageLayout,
     TextBlock,
     TextLine,
     load_layout,
-    reading_order,
     save_layout,
 )
 from .losses import LossBreakdown, dice_loss, masked_mse, total_loss
@@ -61,7 +60,6 @@ __all__ = [
     "OrientationMaps",
     "PageLayout",
     "PageScores",
-    "Point",
     "Polygon",
     "Polyline",
     "RenderParams",
@@ -83,7 +81,6 @@ __all__ = [
     "evaluate",
     "extract_page",
     "generate",
-    "horizontal_overlap",
     "line_polygon",
     "load_layout",
     "masked_mse",
@@ -93,10 +90,8 @@ __all__ = [
     "nearest_rank_percentile",
     "polygon_iou",
     "read_maps",
-    "reading_order",
     "render_gt",
     "render_orientation_gt",
-    "rotate90",
     "rotate_layout",
     "rotate_maps",
     "sample_scale_augmentation",

@@ -43,11 +43,7 @@ class ExtractParams:
 
 def smooth(arr: np.ndarray, size: int) -> np.ndarray:
     """size x size box mean with edge replication, as a new float64 array."""
-    out = np.empty(np.shape(arr))
-    if size == 1:
-        np.copyto(out, arr)
-        return out
-    return ndimage.uniform_filter(arr, size=size, output=out, mode="nearest")
+    return ndimage.uniform_filter(arr, size=size, output=np.empty(np.shape(arr)), mode="nearest")
 
 
 def vertical_nms(arr: np.ndarray, size: int, out: np.ndarray | None = None) -> np.ndarray:

@@ -30,8 +30,8 @@ from .geometry import (
     _edge_crossings,
     _ring_crossings,
     alpha_shape,
+    clip_to_page,
     convex_hull,
-    horizontal_overlap,
     intersection_area,
     offset_chains,
 )
@@ -118,14 +118,15 @@ def polygon_from_baseline(points: np.ndarray, ascender: float, descender: float)
 def line_polygon(
     baseline: Polyline, maps: ChannelMaps, params: BlockParams | None = None, line_id: str = "line"
 ) -> TextLine:
-    """Build a text line from a baseline and the height channels."""
+    """Build a text line from a baseline and the height channels, its polygon clipped to the frame."""
     params = params or BlockParams()
     rows, cols = polyline_pixels(baseline.points, maps.shape)
     if len(rows) == 0:
         raise ValueError("baseline out of bounds")
     asc = max(1.0, nearest_rank_percentile(maps.asc[rows, cols], params.height_percentile))
     des = max(0.0, nearest_rank_percentile(maps.des[rows, cols], params.height_percentile))
-    return TextLine(line_id, baseline, asc, des, polygon_from_baseline(baseline.points, asc, des))
+    polygon = clip_to_page(polygon_from_baseline(baseline.points, asc, des), *maps.shape)
+    return TextLine(line_id, baseline, asc, des, polygon)
 
 
 def _x_interval(line: TextLine) -> tuple[float, float]:
@@ -182,7 +183,7 @@ def _neighbours(
     ya: float,
     yb: float,
 ) -> bool:
-    if horizontal_overlap(xa, xb) <= 0:
+    if min(xa[1], xb[1]) <= max(xa[0], xb[0]):  # touching intervals do not overlap
         return False
     if abs(ya - yb) >= max(a.height, b.height):
         return False
@@ -365,7 +366,7 @@ def extract_page(
         try:
             lines.append(line_polygon(bl, maps, block_params, line_id=f"l{i}"))
         except ValueError:
-            logger.debug("dropping out-of-bounds baseline %d", i)
+            logger.debug("dropping baseline %d: out of bounds or no polygon on the page", i)
     groups = cluster_blocks(lines, maps, block_params)
     if merge:
         groups = [merge_block_lines(g, block_params, extract_params.max_control_points) for g in groups]

@@ -12,8 +12,6 @@ from collections.abc import Sequence
 import numpy as np
 from scipy.spatial import ConvexHull, Delaunay, QhullError
 
-Point = tuple[float, float]
-
 _EPS = 1e-9
 
 
@@ -49,15 +47,6 @@ class Polyline:
     @property
     def length(self) -> float:
         return float(np.hypot(*np.diff(self.points, axis=0).T).sum())
-
-    def bounds(self) -> tuple[float, float, float, float]:
-        """(min_x, min_y, max_x, max_y)."""
-        lo = self.points.min(axis=0)
-        hi = self.points.max(axis=0)
-        return float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1])
-
-    def __len__(self) -> int:
-        return len(self.points)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Polyline) and np.array_equal(self.points, other.points)
@@ -207,9 +196,31 @@ def offset_chains(points: np.ndarray, ascender: float, descender: float) -> tupl
     return points + ascender * normals, points + (-descender) * normals
 
 
-def horizontal_overlap(a: tuple[float, float], b: tuple[float, float]) -> float:
-    """Length of the intersection of two [lo, hi] intervals; 0 when disjoint or touching."""
-    return max(0.0, min(a[1], b[1]) - max(a[0], b[0]))
+def clip_to_page(polygon: Polygon, h: int, w: int) -> Polygon:
+    """``polygon`` if it lies inside [0, w] x [0, h], else its part inside (Sutherland-Hodgman, one edge at a time).
+
+    Unlike clamping each vertex, this keeps the part of the region that was
+    on the page, so a baseline inside the polygon stays inside it.  Raises
+    ``ValueError`` when no area is left.
+    """
+    x0, y0, x1, y1 = polygon.bounds()
+    if x0 >= 0 and y0 >= 0 and x1 <= w and y1 <= h:
+        return polygon
+    ring = polygon.ring
+    for axis, bound, sign in ((0, 0.0, 1.0), (0, float(w), -1.0), (1, 0.0, 1.0), (1, float(h), -1.0)):
+        depth = sign * (ring[:, axis] - bound)  # >= 0 on the page side
+        if (depth >= 0).all():
+            continue
+        out = []
+        for i in range(len(ring)):
+            if (depth[i - 1] >= 0) != (depth[i] >= 0):
+                cut = ring[i - 1] + depth[i - 1] / (depth[i - 1] - depth[i]) * (ring[i] - ring[i - 1])
+                cut[axis] = bound
+                out.append(cut)
+            if depth[i] >= 0:
+                out.append(ring[i])
+        ring = np.array(out).reshape(-1, 2)
+    return Polygon(ring, check_simple=False)
 
 
 # ---------------------------------------------------------------------------
@@ -461,12 +472,6 @@ def alpha_shape(points, alpha: float) -> Polygon:
 # ---------------------------------------------------------------------------
 # Axis-aligned rotations
 # ---------------------------------------------------------------------------
-
-def rotate90(p: Point, size_hw: tuple[int, int], turns: int) -> Point:
-    """Single-point form of :func:`rotate90_points`, as Python floats."""
-    x, y = rotate90_points(np.array([p], dtype=np.float64), size_hw, turns)[0]
-    return (float(x), float(y))
-
 
 def rotate90_points(points: np.ndarray, size_hw: tuple[int, int], turns: int) -> np.ndarray:
     """Map (N, 2) points between the original frame and a 90-degree-rotated frame.

@@ -133,16 +133,18 @@ def evaluate(
     pred: PageLayout,
     gt: PageLayout,
     iou_threshold: float = DEFAULT_IOU_THRESHOLD,
-    baseline_tolerance: float | None = None,
 ) -> PageScores:
-    """Score one page: baselines, line polygons and block polygons."""
+    """Score one page: baselines, line polygons and block polygons.
+
+    The baseline tolerance is a quarter of the median ground-truth line
+    height (``_FALLBACK_TOLERANCE`` px when the ground truth has no lines).
+    """
     if pred.size != gt.size:
         raise ValueError(f"page size mismatch: {pred.size} vs {gt.size}")
     gt_lines = gt.lines()
     pred_lines = pred.lines()
-    if baseline_tolerance is None:
-        heights = [line.height for line in gt_lines]
-        baseline_tolerance = 0.25 * float(np.median(heights)) if heights else _FALLBACK_TOLERANCE
+    heights = [line.height for line in gt_lines]
+    baseline_tolerance = 0.25 * float(np.median(heights)) if heights else _FALLBACK_TOLERANCE
     base = match_baselines(
         [line.baseline for line in pred_lines], [line.baseline for line in gt_lines], baseline_tolerance
     )

@@ -22,12 +22,14 @@ from ._raster import polygon_window
 from .baselines import ExtractParams, detect_baselines
 from .blocks import BlockParams, block_polygon, cluster_blocks, line_polygon, merge_block_lines
 from .channels import ChannelMaps, OrientationMaps
-from .geometry import Polygon, Polyline, polygon_iou, rotate90_points, rotated_size
+from .geometry import Polygon, Polyline, clip_to_page, polygon_iou, rotate90_points, rotated_size
 from .layout import PageLayout, TextBlock, TextLine, reading_key
 
 logger = logging.getLogger("pagelayout.orient")
 
 TURN_ANGLES = {0: 0.0, 1: 90.0, 3: 270.0}
+MAX_ANGLE_DIFF = 45.0  # degrees a kept line's orientation may differ from its frame's
+DEDUP_IOU = 0.5  # polygon IoU above which a worse-aligned line is a duplicate
 
 
 @dataclass(frozen=True)
@@ -98,8 +100,6 @@ def detect_multi_orientation(
     extract_params: ExtractParams | None = None,
     block_params: BlockParams | None = None,
     merge: bool = True,
-    max_angle_diff: float = 45.0,
-    dedup_iou: float = 0.5,
     page_id: str = "page",
 ) -> PageLayout:
     """Combine per-orientation extractions into one layout.
@@ -107,9 +107,9 @@ def detect_multi_orientation(
     ``maps_by_turn`` holds the detection channels of the same page processed
     at counterclockwise quarter turns 0, 1 and 3; ``omaps`` is the
     orientation field in the original (turn-0) frame.  Lines whose estimated
-    angle differs from the processing angle by more than ``max_angle_diff``
+    angle differs from the processing angle by more than ``MAX_ANGLE_DIFF``
     are discarded; retained lines overlapping a better-aligned retained line
-    with polygon IoU above ``dedup_iou`` are dropped as duplicates.  Blocks
+    with polygon IoU above ``DEDUP_IOU`` are dropped as duplicates.  Blocks
     are then clustered per processing frame (a block never mixes lines from
     different frames) and mapped back.
     """
@@ -132,22 +132,22 @@ def detect_multi_orientation(
         for i, bl in enumerate(detect_baselines(maps, extract_params)):
             try:
                 frame_line = line_polygon(bl, maps, block_params, line_id=f"t{t}l{i}")
+                polygon = clip_to_page(rotate_polygon(frame_line.polygon, frame_size, back), *size0)
             except ValueError:
                 continue
-            polygon = rotate_polygon(frame_line.polygon, frame_size, back)
             try:
                 est = estimate_line_angle(polygon, omaps)
             except ValueError:
                 logger.debug("line %s covers no orientation pixels; dropped", frame_line.id)
                 continue
             dist = angular_distance(est.angle_deg, TURN_ANGLES[t])
-            if dist <= max_angle_diff + 1e-9:  # boundary angles are kept
+            if dist <= MAX_ANGLE_DIFF + 1e-9:  # boundary angles are kept
                 candidates.append((dist, t, i, frame_line, polygon))
 
     candidates.sort(key=lambda c: (c[0], c[1], c[2]))
     kept: list[tuple[float, int, int, TextLine, Polygon]] = []
     for cand in candidates:
-        if (polygon_iou(cand[4], [k[4] for k in kept]) <= dedup_iou).all():
+        if (polygon_iou(cand[4], [k[4] for k in kept]) <= DEDUP_IOU).all():
             kept.append(cand)
     in_original = {id(c[3]): c[4] for c in kept}
 

@@ -44,10 +44,6 @@ def estimate_scale(maps: ChannelMaps, raw_threshold: float = DEFAULT_SCALE_THRES
     return ScaleEstimate(med, TARGET_ASCENDER / med)
 
 
-def scale_factor_from_exponent(x: float) -> float:
-    return float(2.0**x)
-
-
 def sample_scale_augmentation(seed: int, count: int | None = None):
     """Random training-scale factor(s) 2**x with x ~ N(0, 1), seeded.
 
@@ -56,5 +52,5 @@ def sample_scale_augmentation(seed: int, count: int | None = None):
     """
     rng = Rng(seed)
     if count is None:
-        return scale_factor_from_exponent(rng.normal())
+        return 2.0 ** rng.normal()
     return 2.0 ** rng.normal_array(count)

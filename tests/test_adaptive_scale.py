@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from pagelayout._rng import Rng
 from pagelayout.channels import ChannelMaps
 from pagelayout.render import render_gt
 from pagelayout.scale import (
     TARGET_ASCENDER,
     estimate_scale,
     sample_scale_augmentation,
-    scale_factor_from_exponent,
 )
 
 from conftest import make_block, make_line, make_page
@@ -61,9 +61,8 @@ class TestEstimateScale:
 
 class TestScaleAugmentation:
     def test_closed_form(self):
-        assert scale_factor_from_exponent(0.0) == 1.0
-        assert scale_factor_from_exponent(1.0) == 2.0
-        assert scale_factor_from_exponent(-1.0) == 0.5
+        for seed in range(20):
+            assert sample_scale_augmentation(seed) == 2.0 ** Rng(seed).normal()
 
     def test_deterministic_per_seed(self):
         assert sample_scale_augmentation(42) == sample_scale_augmentation(42)

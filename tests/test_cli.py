@@ -21,6 +21,8 @@ from pagelayout.render import RenderParams, render_gt
 from pagelayout.scale import DEFAULT_SCALE_THRESHOLD, estimate_scale
 from pagelayout.synth import SynthConfig, corrupt, generate
 
+from conftest import edge_line_maps
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -57,6 +59,14 @@ class TestSubcommands:
         assert run(["detect", "--maps", maps, "--out", out]) == 0
         layout = load_layout(out.read_bytes())
         assert layout.blocks == []
+
+    def test_detect_on_a_one_row_page(self, tmp_path):
+        # every line polygon lies above the page's only pixel row: no line is left, and that is no input error
+        maps = tmp_path / "row.pncm"
+        maps.write_bytes(write_maps(edge_line_maps(1, 50)))
+        out = tmp_path / "p.json"
+        assert run(["detect", "--maps", maps, "--out", out]) == 0
+        assert load_layout(out.read_bytes()).blocks == []
 
     def test_synth_defaults_match_library(self, tmp_path):
         layout = tmp_path / "l.json"

@@ -8,11 +8,10 @@ from pagelayout.geometry import (
     _contains_within,
     _segment_distance,
     alpha_shape,
+    clip_to_page,
     convex_hull,
-    horizontal_overlap,
     intersection_area,
     polygon_iou,
-    rotate90,
     rotate90_points,
     rotated_size,
 )
@@ -332,17 +331,6 @@ class TestSharedContainment:
                     assert not _contains_within(poly, one, np.nextafter(dk, -np.inf))
 
 
-class TestHorizontalOverlap:
-    def test_basic(self):
-        assert horizontal_overlap((0, 10), (5, 20)) == 5
-
-    def test_touching_is_not_overlap(self):
-        assert horizontal_overlap((0, 10), (10, 20)) == 0
-
-    def test_contained(self):
-        assert horizontal_overlap((0, 4), (1, 2)) == 1
-
-
 class TestAlphaShape:
     def test_square_at_alpha_zero_equals_hull(self):
         pts = [[0, 0], [4, 0], [4, 4], [0, 4]]
@@ -450,6 +438,26 @@ class TestAlphaShapeOracle:
         assert concave > 100
 
 
+class TestClipToPage:
+    def test_inside_returns_the_polygon_itself(self):
+        poly = square(0, 0, 10, 5)
+        assert clip_to_page(poly, 5, 10) is poly
+
+    def test_keeps_the_part_on_the_page(self):
+        clipped = clip_to_page(square(-2, -3, 4, 6), 5, 10)
+        assert clipped.bounds() == (0.0, 0.0, 4.0, 5.0)
+        assert clipped.area == pytest.approx(20.0)
+
+    def test_nothing_left_raises(self):
+        with pytest.raises(ValueError):
+            clip_to_page(square(0, -5, 10, 0), 5, 10)  # touches the top edge only
+
+
+def rotate90(p, size_hw, turns):
+    """:func:`rotate90_points` on one point, as a tuple."""
+    return tuple(rotate90_points(np.array([p], dtype=np.float64), size_hw, turns)[0])
+
+
 class TestRotate90:
     def test_turns_zero_identity(self):
         assert rotate90((3.0, 4.0), (100, 50), 0) == (3.0, 4.0)
@@ -488,10 +496,3 @@ class TestRotate90:
                 for c in range(7):
                     x, y = rotate90((float(c), float(r)), (5, 7), turns)
                     assert rot[int(y), int(x)] == m[r, c]
-
-    def test_vectorized_matches_scalar(self):
-        pts = np.array([[0.0, 0.0], [3.0, 2.0], [6.5, 1.25]])
-        for turns in (0, 1, 2, 3):
-            got = rotate90_points(pts, (8, 10), turns)
-            for p, q in zip(pts, got):
-                assert tuple(q) == rotate90(tuple(p), (8, 10), turns)

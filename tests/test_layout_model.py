@@ -10,7 +10,6 @@ from pagelayout.layout import (
     PageLayout,
     baseline_midpoint,
     load_layout,
-    reading_order,
     save_layout,
     sort_reading_order,
 )
@@ -156,13 +155,13 @@ class TestValidation:
 
 class TestReadingOrder:
     def test_top_line_first(self, simple_page):
-        assert reading_order(simple_page.blocks[0]) == ["l0", "l1"]
+        assert [ln.id for ln in simple_page.blocks[0].lines] == ["l0", "l1"]
 
     def test_tie_broken_by_left_x(self):
         left = make_line("right-id", 5, 40, 20, 6.0, 2.0)
         right = make_line("a-id", 50, 90, 20, 6.0, 2.0)
         block = make_block("b0", [right, left])
-        assert reading_order(block) == ["right-id", "a-id"]
+        assert [ln.id for ln in block.lines] == ["right-id", "a-id"]
 
     def test_matches_midpoint_sort_oracle(self):
         rng = np.random.default_rng(7)

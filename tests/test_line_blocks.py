@@ -167,6 +167,16 @@ class TestClusterBlocks:
         assert len(blocks) == 1
         assert [ln.id for ln in blocks[0].lines] == ["l0", "l1"]
 
+    def test_touching_intervals_are_not_neighbours(self):
+        from pagelayout.blocks import _neighbours, _x_interval
+
+        left = make_line("l0", 5, 30, 16, 8.0, 3.0)
+        for x0, together in ((30, False), (29.5, True)):  # touching, then overlapping by half a pixel
+            right = make_line("l1", x0, 55, 20, 8.0, 3.0)
+            args = (_x_interval(left), _x_interval(right), 16.0, 20.0)
+            assert _neighbours(left, right, maps_with(), BlockParams(), *args) == together
+            assert len(cluster_blocks([left, right], maps_with(), BlockParams())) == (1 if together else 2)
+
     def test_chain_split_by_rendered_boundary(self):
         # lines 1-2 in one block, line 3 in another; all consecutive pairs
         # satisfy the distance rule, so only the rendered boundary between

@@ -1,0 +1,104 @@
+"""Properties over generated inputs (Hypothesis; the budget is the profile in conftest.py).
+
+Extraction is total on valid maps, and its layout survives a JSON round trip
+byte for byte; reading a damaged ``.pncm`` fails only with ``MapFormatError``.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from pagelayout.blocks import extract_page
+from pagelayout.channels import ChannelMaps, MapFormatError, OrientationMaps, read_maps, rotate_maps, write_maps
+from pagelayout.layout import load_layout, save_layout
+from pagelayout.orient import detect_multi_orientation
+
+from conftest import edge_line_maps
+
+# one-row and one-column pages, and small pages
+shapes = st.one_of(
+    st.tuples(st.just(1), st.integers(1, 80)),
+    st.tuples(st.integers(1, 80), st.just(1)),
+    st.tuples(st.integers(2, 48), st.integers(2, 48)),
+)
+seeds = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def channel_maps(draw):
+    """Valid detection planes: ``base`` is noise, a binary mask or lit rows; heights reach up to 0, 1, 10 or 1e4 px."""
+    h, w = draw(shapes)
+    rng = np.random.default_rng(draw(seeds))
+    kind = draw(st.sampled_from(["noise", "mask", "rows"]))
+    if kind == "noise":
+        base = rng.uniform(0, 1, (h, w))
+    elif kind == "mask":
+        base = (rng.uniform(0, 1, (h, w)) < 0.5).astype(np.float64)
+    else:
+        base = np.zeros((h, w))
+        base[rng.integers(0, h, 1 + h // 8)] = 1.0
+    asc, des = (rng.uniform(0, draw(st.sampled_from([0.0, 1.0, 10.0, 1e4])), (h, w)) for _ in range(2))
+    end, block = (rng.uniform(0, draw(st.sampled_from([0.0, 1.0])), (h, w)) for _ in range(2))
+    return ChannelMaps(base, end, asc, des, block)
+
+
+# a constant unit direction (ox, oy) or, with a seed, a random direction per pixel
+fields = st.tuples(st.sampled_from([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0), (0.6, -0.8)]), st.none() | seeds)
+
+
+def assert_round_trips(layout):
+    data = save_layout(layout)
+    assert save_layout(load_layout(data)) == data
+
+
+@given(channel_maps())
+@example(edge_line_maps(1, 50))
+def test_extract_page_is_total_and_round_trips(maps):
+    assert_round_trips(extract_page(maps))
+
+
+@given(channel_maps(), fields)
+@example(edge_line_maps(50, 1), ((0.0, -1.0), None))
+def test_multi_orientation_is_total_and_round_trips(maps, field):
+    (ox, oy), seed = field
+    if seed is None:
+        omaps = OrientationMaps(np.full(maps.shape, ox), np.full(maps.shape, oy))
+    else:
+        angle = np.random.default_rng(seed).uniform(-np.pi, np.pi, maps.shape)
+        omaps = OrientationMaps(np.cos(angle), np.sin(angle))
+    assert_round_trips(detect_multi_orientation({t: rotate_maps(maps, t) for t in (0, 1, 3)}, omaps))
+
+
+def assert_reads_or_rejects(data: bytes):
+    try:
+        read_maps(data)
+    except MapFormatError:
+        pass
+
+
+@pytest.mark.parametrize("stack", [edge_line_maps(1, 1), OrientationMaps.zeros(1, 1)], ids=["detection", "orientation"])
+def test_every_truncation_and_byte_mutation_of_a_one_pixel_pncm(stack):
+    data = write_maps(stack)
+    for n in range(len(data)):
+        assert_reads_or_rejects(data[:n])
+    for i in range(len(data)):
+        for value in range(256):
+            assert_reads_or_rejects(data[:i] + bytes([value]) + data[i + 1 :])
+
+
+@given(
+    st.sampled_from([ChannelMaps, OrientationMaps]),
+    st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    seeds,
+    st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 255)), max_size=40),
+)
+def test_damaged_pncm_raises_only_map_format_error(cls, shape, seed, mutations):
+    rng = np.random.default_rng(seed)
+    planes = {name: rng.uniform(lo, 1e4 if hi is None else hi, shape) for name, (lo, hi) in cls.RANGES.items()}
+    data = write_maps(cls(**planes))
+    for n in range(len(data)):
+        assert_reads_or_rejects(data[:n])
+    for pos, value in mutations:
+        i = pos % len(data)
+        assert_reads_or_rejects(data[:i] + bytes([value]) + data[i + 1 :])
