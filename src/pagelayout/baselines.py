@@ -55,7 +55,13 @@ def vertical_nms(arr: np.ndarray, size: int, out: np.ndarray | None = None) -> n
     in place.
     """
     a = np.asarray(arr, dtype=np.float64)
-    suppressed = ~(a >= ndimage.maximum_filter(a, size=(size, 1), mode="nearest"))
+    # window maxima as shifted maxima over one buffer; a window clipped by
+    # the frame edge has the maximum the edge-replicated one has
+    vmax = a.copy()
+    for k in range(1, min(size // 2, a.shape[0] - 1) + 1):
+        np.maximum(vmax[k:], a[:-k], out=vmax[k:])
+        np.maximum(vmax[:-k], a[k:], out=vmax[:-k])
+    suppressed = ~(a >= vmax)
     if out is None:
         out = a.copy()
     np.copyto(out, 0.0, where=suppressed)
@@ -140,11 +146,15 @@ def _fit_spline(rows: np.ndarray, cols: np.ndarray, max_points: int) -> Polyline
 
 def detect_baselines(maps: ChannelMaps, params: ExtractParams | None = None) -> list[Polyline]:
     """Extract baseline splines from the base and end channels."""
-    params = params or ExtractParams()
+    return _detect(maps.base, maps.end, params or ExtractParams())
+
+
+def _detect(base: np.ndarray, end: np.ndarray, params: ExtractParams) -> list[Polyline]:
+    """``detect_baselines`` on bare planes, for callers that mask ``base`` first."""
     # smoothing, suppression and end subtraction share one float64 frame
-    response = smooth(maps.base, params.smooth_size)
+    response = smooth(base, params.smooth_size)
     vertical_nms(response, params.nms_size, out=response)
-    np.subtract(response, maps.end, out=response)
+    np.subtract(response, end, out=response)
     np.maximum(response, 0.0, out=response)
     fg = response >= params.threshold
 

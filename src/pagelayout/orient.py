@@ -1,7 +1,18 @@
 """Orientation-aware detection across the 0/90/270-degree processing frames.
 
-Lines are extracted independently in each frame.  A candidate's polygon is
-mapped back to the original frame, and the line is kept only when its
+Before detection, each frame's ``base`` channel is gated by the orientation
+field: where the field is defined (``|o| > 0.5``) and more than 45 degrees
+from the frame's orientation, the pixel is zeroed, so a frame detects only
+lines its orientation allows.  The masks are built once per page, in the
+turn-0 frame, from float32 comparisons on the unit vectors (turn 0 keeps
+``ox >= |oy|``, turn 1 ``oy >= |ox|``, turn 3 ``-oy >= |ox|``; 45 degrees
+and undefined pixels are kept).  The per-line filter below stays the rule;
+the gate drops most of the lines it would reject before their polygons
+exist.  A short fragment that an ungated frame builds out of pixels of
+another orientation, and that passes the filter, is no longer detected.
+
+Lines are then extracted independently in each frame.  A candidate's polygon
+is mapped back to the original frame, and the line is kept only when its
 estimated orientation (medians of the orientation field over that polygon)
 agrees with the processing orientation within 45 degrees.  Survivors are
 deduplicated and re-clustered into blocks per processing frame; each output
@@ -19,7 +30,8 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from ._raster import polygon_window
-from .baselines import ExtractParams, detect_baselines
+from .baselines import ExtractParams, _detect
+from .baselines import detect_baselines  # noqa: F401  (perfbench's traced run wraps orient.detect_baselines)
 from .blocks import BlockParams, block_polygon, cluster_blocks, line_polygon, merge_block_lines
 from .channels import ChannelMaps, OrientationMaps
 from .geometry import Polygon, Polyline, clip_to_page, polygon_iou, rotate90_points, rotated_size
@@ -53,6 +65,22 @@ def estimate_line_angle(polygon: Polygon, omaps: OrientationMaps) -> Orientation
     x_med = float(np.median(omaps.ox[sl][mask]))
     y_med = float(np.median(omaps.oy[sl][mask]))
     return OrientationEstimate(math.degrees(math.atan2(y_med, x_med)), x_med, y_med)
+
+
+def _orientation_gate(omaps: OrientationMaps) -> dict[int, np.ndarray]:
+    """Turn-0-frame masks of the pixels each processing frame may detect on, by turn.
+
+    A pixel whose orientation is defined (``|o| > 0.5``) is kept for the
+    frames within 45 degrees of it, boundary included; an undefined pixel is
+    kept for every frame.
+    """
+    ox, oy = omaps.ox, omaps.oy
+    undefined = ox * ox + oy * oy <= 0.25
+    return {
+        0: undefined | (ox >= np.abs(oy)),
+        1: undefined | (oy >= np.abs(ox)),
+        3: undefined | (-oy >= np.abs(ox)),
+    }
 
 
 def rotate_polygon(polygon: Polygon, size_hw: tuple[int, int], turns: int) -> Polygon:
@@ -106,10 +134,12 @@ def detect_multi_orientation(
 
     ``maps_by_turn`` holds the detection channels of the same page processed
     at counterclockwise quarter turns 0, 1 and 3; ``omaps`` is the
-    orientation field in the original (turn-0) frame.  Lines whose estimated
-    angle differs from the processing angle by more than ``MAX_ANGLE_DIFF``
-    are discarded; retained lines overlapping a better-aligned retained line
-    with polygon IoU above ``DEDUP_IOU`` are dropped as duplicates.  Blocks
+    orientation field in the original (turn-0) frame.  Each frame detects
+    only on the pixels the field allows it (see the module docstring).
+    Lines whose estimated angle differs from the processing angle by more
+    than ``MAX_ANGLE_DIFF`` are discarded; retained lines overlapping a
+    better-aligned retained line with polygon IoU above ``DEDUP_IOU`` are
+    dropped as duplicates.  Blocks
     are then clustered per processing frame (a block never mixes lines from
     different frames) and mapped back.
     """
@@ -125,11 +155,12 @@ def detect_multi_orientation(
             raise ValueError(f"turn-{t} maps shape is not the rotation of the turn-0 shape")
 
     candidates = []  # (angdist, turn, index, frame_line, its polygon in the original frame)
-    for t in (0, 1, 3):
+    for t, keep in _orientation_gate(omaps).items():
         maps = maps_by_turn[t]
         frame_size = maps.shape
         back = (4 - t) % 4
-        for i, bl in enumerate(detect_baselines(maps, extract_params)):
+        base = np.where(np.rot90(keep, t), maps.base, 0.0)
+        for i, bl in enumerate(_detect(base, maps.end, extract_params)):
             try:
                 frame_line = line_polygon(bl, maps, block_params, line_id=f"t{t}l{i}")
                 polygon = clip_to_page(rotate_polygon(frame_line.polygon, frame_size, back), *size0)
@@ -163,7 +194,7 @@ def detect_multi_orientation(
             for line in group.lines:
                 polygon = in_original.get(id(line))
                 if polygon is None:  # a merged line
-                    polygon = rotate_polygon(line.polygon, frame_size, back)
+                    polygon = clip_to_page(rotate_polygon(line.polygon, frame_size, back), *size0)
                 baseline = Polyline(rotate90_points(line.baseline.points, frame_size, back))
                 lines.append(_Placed(reading_key(baseline, line.id), baseline, line.ascender, line.descender, polygon))
             lines.sort(key=lambda p: p.order)

@@ -737,3 +737,72 @@ def render_orientation_oracle(layout) -> tuple[np.ndarray, np.ndarray]:
             ox[rows, cols] = units[best_i, 0].astype(np.float32)
             oy[rows, cols] = units[best_i, 1].astype(np.float32)
     return ox, oy
+
+
+def detect_multi_orientation_oracle(maps_by_turn, omaps):
+    """``detect_multi_orientation`` at default parameters without the orientation gate.
+
+    Every frame detects on its whole ``base`` channel; the orientation field
+    is read only by the per-line angle filter, then the IoU dedup, the
+    per-frame clustering and merging and the placement run as in the library.
+    Angle estimates go through ``pagelayout.orient.estimate_line_angle`` by
+    module attribute, so a test can count the candidates.
+    """
+    import itertools
+
+    import pagelayout.orient as orient
+    from pagelayout.baselines import ExtractParams, detect_baselines
+    from pagelayout.blocks import BlockParams, block_polygon, cluster_blocks, line_polygon, merge_block_lines
+    from pagelayout.geometry import Polyline, clip_to_page, polygon_iou, rotate90_points
+    from pagelayout.layout import PageLayout, TextBlock, TextLine, reading_key
+
+    extract_params, block_params = ExtractParams(), BlockParams()
+    size0 = maps_by_turn[0].shape
+    candidates = []  # (angdist, turn, index, frame_line, its polygon in the original frame)
+    for t in (0, 1, 3):
+        maps = maps_by_turn[t]
+        back = (4 - t) % 4
+        for i, bl in enumerate(detect_baselines(maps, extract_params)):
+            try:
+                frame_line = line_polygon(bl, maps, block_params, line_id=f"t{t}l{i}")
+                polygon = clip_to_page(orient.rotate_polygon(frame_line.polygon, maps.shape, back), *size0)
+            except ValueError:
+                continue
+            try:
+                est = orient.estimate_line_angle(polygon, omaps)
+            except ValueError:
+                continue
+            dist = orient.angular_distance(est.angle_deg, orient.TURN_ANGLES[t])
+            if dist <= orient.MAX_ANGLE_DIFF + 1e-9:
+                candidates.append((dist, t, i, frame_line, polygon))
+
+    candidates.sort(key=lambda c: (c[0], c[1], c[2]))
+    kept = []
+    for cand in candidates:
+        if (polygon_iou(cand[4], [k[4] for k in kept]) <= orient.DEDUP_IOU).all():
+            kept.append(cand)
+    in_original = {id(c[3]): c[4] for c in kept}
+
+    placed = []
+    for t in (0, 1, 3):
+        frame_size = maps_by_turn[t].shape
+        back = (4 - t) % 4
+        for group in cluster_blocks([c[3] for c in kept if c[1] == t], maps_by_turn[t], block_params):
+            group = merge_block_lines(group, block_params, extract_params.max_control_points)
+            lines = []
+            for line in group.lines:
+                polygon = in_original.get(id(line))
+                if polygon is None:  # a merged line; PageLayout clips it to the page
+                    polygon = orient.rotate_polygon(line.polygon, frame_size, back)
+                baseline = Polyline(rotate90_points(line.baseline.points, frame_size, back))
+                lines.append((reading_key(baseline, line.id), baseline, line.ascender, line.descender, polygon))
+            lines.sort(key=lambda p: p[0])
+            placed.append((orient.rotate_polygon(block_polygon(group.lines), frame_size, back), lines))
+
+    placed.sort(key=lambda p: (p[0].bounds()[1], p[0].bounds()[0]))
+    line_ids = (f"l{i}" for i in itertools.count())
+    blocks = [
+        TextBlock(f"b{k}", [TextLine(next(line_ids), *p[1:]) for p in lines], outline)
+        for k, (outline, lines) in enumerate(placed)
+    ]
+    return PageLayout("page", size0[0], size0[1], blocks)

@@ -57,11 +57,18 @@ class TestVerticalNms:
         assert np.array_equal(out, col)
 
     def test_matches_sliding_window_oracle(self):
+        # windows taller than the frame, and plateaus whose ties must survive
         rng = np.random.default_rng(3)
-        for _ in range(30):
-            m = rng.uniform(size=(rng.integers(3, 20), rng.integers(2, 8)))
-            size = int(rng.choice([3, 5, 7, 9]))
-            assert np.array_equal(vertical_nms(m, size), vertical_nms_oracle(m, size))
+        for size in (1, 3, 5, 7, 9, 15, 31):
+            for h in range(1, 25):
+                w = int(rng.integers(1, 6))
+                noise = rng.uniform(size=(h, w))
+                plateaus = rng.choice([0.0, 0.3, 0.5, 1.0], size=(h, w))
+                mixed = np.where(rng.uniform(size=(h, w)) < 0.5, plateaus, noise)
+                for m in (noise, plateaus, mixed):
+                    for dtype in (np.float32, np.float64):
+                        a = m.astype(dtype)
+                        assert np.array_equal(vertical_nms(a, size), vertical_nms_oracle(a, size)), (size, h, dtype)
 
     def test_idempotent(self):
         rng = np.random.default_rng(4)

@@ -28,6 +28,7 @@ from conftest import make_block, make_line, make_page
 from oracles import (
     adjacency_penalty_oracle,
     closure_partition_oracle,
+    detect_multi_orientation_oracle,
     drop_self_intersections_oracle,
     merge_fixpoint_oracle,
     percentile_oracle,
@@ -528,8 +529,14 @@ class TestEachLineBuiltOnce:
                 m.setattr(pagelayout.orient, "estimate_line_angle", counted_estimate)
                 counts.update(TextLine=0, candidates=0)
                 pred = detect_multi_orientation(frames, omaps)
-            assert counts["candidates"] > len(pred.lines()) > 0
+            assert counts["candidates"] >= len(pred.lines()) > 0
             assert counts["TextLine"] <= counts["candidates"] + len(pred.lines())
+            gated = counts["candidates"]
+            with monkeypatch.context() as m:
+                m.setattr(pagelayout.orient, "estimate_line_angle", counted_estimate)
+                counts.update(candidates=0)
+                detect_multi_orientation_oracle(frames, omaps)
+            assert gated < counts["candidates"]
 
     def test_up_normals_per_polygon_and_line_not_per_pair(self, monkeypatch):
         normals = pagelayout.geometry._vertex_up_normals
