@@ -1,14 +1,14 @@
-"""Rasterization helpers: strokes, disks, polygon fills and polyline sampling.
+"""Rasterization helpers: strokes (a disk is a one-point stroke), polygon fills and polyline sampling.
 
 All masks are computed against pixel centers on the integer grid, which
 keeps rendering equivariant under the 90-degree rotations used elsewhere.
 
-Shapes are rasterized inside their own window: ``stroke_window``,
-``disk_window`` and ``polygon_window`` return ``(window, mask)`` where
-``window`` is a ``(row slice, column slice)`` pair clipped to the frame and
-``mask`` covers exactly that window, so ``frame[window][mask] = value``
-paints the shape without a full-frame temporary.  A shape the frame clips
-to nothing gets an empty window and a 0x0 mask.
+Shapes are rasterized inside their own window: ``stroke_window`` and
+``polygon_window`` return ``(window, mask)`` where ``window`` is a ``(row
+slice, column slice)`` pair clipped to the frame and ``mask`` covers
+exactly that window, so ``frame[window][mask] = value`` paints the shape
+without a full-frame temporary.  A shape the frame clips to nothing gets
+an empty window and a 0x0 mask.
 """
 
 from __future__ import annotations
@@ -49,19 +49,6 @@ def stroke_window(points: np.ndarray, shape: tuple[int, int], thickness: float) 
         d = _segment_distance(np.arange(x0, x1 + 1)[None, :], np.arange(y0, y1 + 1)[:, None], p, q - p)
         mask[y0 - wy0 : y1 - wy0 + 1, x0 - wx0 : x1 - wx0 + 1] |= d <= half
     return (slice(wy0, wy1 + 1), slice(wx0, wx1 + 1)), mask
-
-
-def disk_window(center, radius: float, shape: tuple[int, int]) -> tuple[Window, np.ndarray]:
-    h, w = shape
-    cx, cy = float(center[0]), float(center[1])
-    x0 = max(0, int(np.floor(cx - radius - 1)))
-    x1 = min(w - 1, int(np.ceil(cx + radius + 1)))
-    y0 = max(0, int(np.floor(cy - radius - 1)))
-    y1 = min(h - 1, int(np.ceil(cy + radius + 1)))
-    if x1 < x0 or y1 < y0:
-        return _empty_window()
-    cc, rr = np.meshgrid(np.arange(x0, x1 + 1), np.arange(y0, y1 + 1))
-    return (slice(y0, y1 + 1), slice(x0, x1 + 1)), np.hypot(cc - cx, rr - cy) <= radius
 
 
 def polygon_window(ring: np.ndarray, shape: tuple[int, int]) -> tuple[Window, np.ndarray]:

@@ -173,28 +173,6 @@ def adjacency_penalty(
     return (p_upper, p_lower)
 
 
-def _neighbours(
-    a: TextLine,
-    b: TextLine,
-    maps: ChannelMaps,
-    params: BlockParams,
-    xa: tuple[float, float],
-    xb: tuple[float, float],
-    ya: float,
-    yb: float,
-) -> bool:
-    if min(xa[1], xb[1]) <= max(xa[0], xb[0]):  # touching intervals do not overlap
-        return False
-    if abs(ya - yb) >= max(a.height, b.height):
-        return False
-    upper, lower = (a, b) if ya <= yb else (b, a)
-    try:
-        p_up, p_low = adjacency_penalty(upper, lower, maps, params)
-    except ValueError:
-        return False
-    return p_up < params.penalty_threshold and p_low < params.penalty_threshold
-
-
 def block_polygon(lines: list[TextLine]) -> Polygon:
     """Alpha-shape outline of all member line polygon vertices.
 
@@ -222,25 +200,26 @@ def cluster_blocks(
 ) -> list[LineGroup]:
     """Partition lines into blocks: connected components of the neighbour graph.
 
-    Only pairs that overlap horizontally and are vertically closer than the
-    taller line's height, tested for all pairs at once, reach the
-    boundary-channel penalty of :func:`_neighbours`.
+    Pairs that overlap horizontally and whose baseline midpoints are closer
+    in y than the taller line's height, found for all pairs at once, are
+    edges when both boundary penalties of :func:`adjacency_penalty` pass.
     """
     params = params or BlockParams()
     n = len(lines)
-    x_ints = [_x_interval(line) for line in lines]
-    mids = [baseline_midpoint(line.baseline) for line in lines]
-    x0, x1 = np.array(x_ints).reshape(-1, 2).T
-    mx, y = np.array(mids).reshape(-1, 2).T
+    x0, x1 = np.array([_x_interval(line) for line in lines]).reshape(-1, 2).T
+    mx, y = np.array([baseline_midpoint(line.baseline) for line in lines]).reshape(-1, 2).T
     h = np.array([line.height for line in lines])
     near = (np.minimum.outer(x1, x1) - np.maximum.outer(x0, x0) > 0) & (
         np.abs(np.subtract.outer(y, y)) < np.maximum.outer(h, h)
     )
-    edges = [
-        (i, j)
-        for i, j in zip(*np.nonzero(np.triu(near, 1)))
-        if _neighbours(lines[i], lines[j], maps, params, x_ints[i], x_ints[j], mids[i][1], mids[j][1])
-    ]
+    edges = []
+    for i, j in zip(*np.nonzero(np.triu(near, 1))):
+        upper, lower = (lines[i], lines[j]) if y[i] <= y[j] else (lines[j], lines[i])
+        try:
+            if max(adjacency_penalty(upper, lower, maps, params)) < params.penalty_threshold:
+                edges.append((i, j))
+        except ValueError:  # no shared pixel column on the page
+            pass
     src, dst = np.array(edges, dtype=np.intp).reshape(-1, 2).T
     graph = coo_matrix((np.ones(len(edges)), (src, dst)), shape=(n, n))
     _, labels = csgraph.connected_components(graph, directed=False)
@@ -298,6 +277,7 @@ def _merge_condition(rows: np.ndarray, cols: np.ndarray, params: BlockParams) ->
 
 def merge_block_lines(
     block: LineGroup | TextBlock,
+    shape: tuple[int, int],
     params: BlockParams | None = None,
     max_control_points: int = ExtractParams.max_control_points,
 ) -> LineGroup | TextBlock:
@@ -314,8 +294,9 @@ def merge_block_lines(
 
     The pair test depends only on the two lines, and the others keep their
     order, so after a merge only the merged line's row and column of the
-    condition matrix are recomputed.  Line polygons are built once, for
-    the merged lines that remain.
+    condition matrix are recomputed.  Line polygons are built once, for the
+    merged lines that remain, clipped to the frame ``shape`` the lines were
+    built in; a merged line with no area left there is dropped.
     """
     params = params or BlockParams()
     frags = [_Fragment(ln.id, ln.baseline, ln.ascender, ln.descender, ln) for ln in block.lines]
@@ -342,12 +323,16 @@ def merge_block_lines(
         cond[k] = cond[:, k] = _merge_condition(cols[k : k + 1], cols, params)[0]
     if len(frags) == len(block.lines):
         return block
-    lines = [
-        TextLine(f.id, f.baseline, f.ascender, f.descender, polygon_from_baseline(f.baseline.points, f.ascender, f.descender))
-        if f.line is None
-        else f.line
-        for f in frags
-    ]
+    lines = []
+    for f in frags:
+        if f.line is not None:
+            lines.append(f.line)
+            continue
+        try:
+            polygon = clip_to_page(polygon_from_baseline(f.baseline.points, f.ascender, f.descender), *shape)
+            lines.append(TextLine(f.id, f.baseline, f.ascender, f.descender, polygon))
+        except ValueError:
+            logger.debug("dropping merged line %s: no polygon on the page", f.id)
     return LineGroup(block.id, lines)
 
 
@@ -369,6 +354,6 @@ def extract_page(
             logger.debug("dropping baseline %d: out of bounds or no polygon on the page", i)
     groups = cluster_blocks(lines, maps, block_params)
     if merge:
-        groups = [merge_block_lines(g, block_params, extract_params.max_control_points) for g in groups]
-    blocks = [TextBlock(g.id, g.lines, block_polygon(g.lines)) for g in groups]
+        groups = [merge_block_lines(g, maps.shape, block_params, extract_params.max_control_points) for g in groups]
+    blocks = [TextBlock(g.id, g.lines, block_polygon(g.lines)) for g in groups if g.lines]
     return PageLayout(page_id, maps.height, maps.width, blocks)

@@ -18,6 +18,7 @@ resolution.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import ClassVar
@@ -36,20 +37,21 @@ class MapFormatError(ValueError):
 
 def _prepare(name: str, arr, lo: float | None, hi: float | None) -> np.ndarray:
     a = np.ascontiguousarray(np.asarray(arr), dtype=np.float32)
-    if a.ndim != 2:
-        raise MapFormatError(f"channel {name!r} must be 2-D, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise MapFormatError(f"channel {name!r} contains non-finite values")
-    if lo is not None and float(a.min()) < lo - 1e-6:
+    if a.ndim != 2 or a.size == 0:
+        raise MapFormatError(f"channel {name!r} must be a 2-D plane with pixels, got shape {a.shape}")
+    a_min, a_max = float(a.min()), float(a.max())  # a NaN reaches both, an infinity one of them
+    if not (math.isfinite(a_min) and math.isfinite(a_max)):
+        raise MapFormatError(f"channel {name!r} contains NaN or infinite values")
+    if lo is not None and a_min < lo - 1e-6:
         raise MapFormatError(f"channel {name!r} below {lo}")
-    if hi is not None and float(a.max()) > hi + 1e-6:
+    if hi is not None and a_max > hi + 1e-6:
         raise MapFormatError(f"channel {name!r} above {hi}")
     a.flags.writeable = False
     return a
 
 
 class _PlaneStack:
-    """Named float32 planes of one shape, frozen and checked in ``RANGES`` order.
+    """Named float32 planes of one shape, checked in ``RANGES`` order and frozen: the one check, also of planes read from disk.
 
     ``RANGES`` maps each plane name, in field and file order, to its ``(lo, hi)`` bounds (None: unbounded).
     """
@@ -123,6 +125,7 @@ def write_maps(maps: ChannelMaps | OrientationMaps) -> bytes:
 
 
 def read_maps(data: bytes) -> ChannelMaps | OrientationMaps:
+    """Parse a PNCM container; the stack the channel names pick checks the values."""
     if len(data) < 17 or data[:4] != MAGIC:
         raise MapFormatError("unsupported container: bad magic")
     version, h, w, c = struct.unpack_from("<BIII", data, 4)
@@ -147,8 +150,6 @@ def read_maps(data: bytes) -> ChannelMaps | OrientationMaps:
         offset += name_len
         arr = np.frombuffer(data[offset : offset + plane_bytes], dtype="<f4").reshape(h, w)
         offset += plane_bytes
-        if np.isnan(arr).any():
-            raise MapFormatError(f"NaN payload in channel {name!r}")
         if name in channels:
             raise MapFormatError(f"repeated channel {name!r}")
         channels[name] = arr

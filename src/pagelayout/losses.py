@@ -70,9 +70,7 @@ class LossBreakdown:
 
 
 def total_loss(pred: ChannelMaps, gt: ChannelMaps, lam: float = DEFAULT_HEIGHT_WEIGHT) -> LossBreakdown:
-    """Combined objective: lam * (height MSEs masked by gt.base) + three Dice terms."""
-    if pred.shape != gt.shape:
-        raise ValueError(f"shape mismatch: {pred.shape} vs {gt.shape}")
+    """Combined objective: lam * (height MSEs masked by gt.base) + three Dice terms (shapes checked by each kernel)."""
     mse_asc = masked_mse(pred.asc, gt.asc, gt.base)
     mse_des = masked_mse(pred.des, gt.des, gt.base)
     d_base = dice_loss(pred.base, gt.base)

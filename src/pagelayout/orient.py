@@ -189,7 +189,7 @@ def detect_multi_orientation(
         back = (4 - t) % 4
         for group in cluster_blocks(frame_lines, maps_by_turn[t], block_params):
             if merge:
-                group = merge_block_lines(group, block_params, extract_params.max_control_points)
+                group = merge_block_lines(group, frame_size, block_params, extract_params.max_control_points)
             lines = []
             for line in group.lines:
                 polygon = in_original.get(id(line))
@@ -198,7 +198,9 @@ def detect_multi_orientation(
                 baseline = Polyline(rotate90_points(line.baseline.points, frame_size, back))
                 lines.append(_Placed(reading_key(baseline, line.id), baseline, line.ascender, line.descender, polygon))
             lines.sort(key=lambda p: p.order)
-            placed.append((rotate_polygon(block_polygon(group.lines), frame_size, back), lines))
+            if lines:  # merging drops a line with no area left on the frame
+                outline = clip_to_page(rotate_polygon(block_polygon(group.lines), frame_size, back), *size0)
+                placed.append((outline, lines))
 
     placed.sort(key=lambda p: (p[0].bounds()[1], p[0].bounds()[0]))  # top edge, then left edge
     line_ids = (f"l{i}" for i in itertools.count())

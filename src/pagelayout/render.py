@@ -1,11 +1,11 @@
 """Render ground-truth channel maps from a page layout.
 
 This is the inverse of extraction: baselines become strokes, baseline ends
-become disks, block outlines become boundary strokes, and the two height
-channels carry each line's ascender/descender value on its own baseline
-stroke.  Rasterization is distance-based (pixel centers within half the
-stroke thickness), which keeps rendering equivariant under 90-degree
-rotations.
+become disks (one-point strokes), block outlines become boundary strokes,
+and the two height channels carry each line's ascender/descender value on
+its own baseline stroke.  Rasterization is distance-based (pixel centers
+within half the stroke thickness), which keeps rendering equivariant under
+90-degree rotations.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._raster import disk_window, polygon_window, stroke_window
+from ._raster import polygon_window, stroke_window
 from .channels import ChannelMaps, OrientationMaps
 from .geometry import _segment_distance
 from .layout import PageLayout
@@ -66,7 +66,7 @@ def render_gt(layout: PageLayout, params: RenderParams | None = None) -> Channel
             des[sl][m] = line.descender
             assigned[sl] |= m
             for p in (line.baseline.points[0], line.baseline.points[-1]):
-                sl, m = disk_window(p, params.endpoint_radius, (h, w))
+                sl, m = stroke_window(np.array([p, p]), (h, w), 2 * params.endpoint_radius)
                 end[sl][m] = 1.0
 
     return ChannelMaps(base, end, asc, des, block)

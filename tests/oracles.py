@@ -162,6 +162,29 @@ def closure_partition_oracle(adj: np.ndarray) -> set[frozenset]:
     return out
 
 
+def neighbours_oracle(a, b, maps, params, xa, xb, ya, yb) -> bool:
+    """The neighbour test of one line pair, both conditions and the penalty written out.
+
+    Lines with x intervals ``xa``/``xb`` and baseline-midpoint y ``ya``/``yb``
+    are neighbours when the intervals overlap (touching is not enough), the
+    midpoints are vertically closer than the taller line's height, and both
+    boundary penalties between the upper and the lower line stay below
+    threshold.
+    """
+    from pagelayout.blocks import adjacency_penalty
+
+    if min(xa[1], xb[1]) <= max(xa[0], xb[0]):  # touching intervals do not overlap
+        return False
+    if abs(ya - yb) >= max(a.height, b.height):
+        return False
+    upper, lower = (a, b) if ya <= yb else (b, a)
+    try:
+        p_up, p_low = adjacency_penalty(upper, lower, maps, params)
+    except ValueError:
+        return False
+    return p_up < params.penalty_threshold and p_low < params.penalty_threshold
+
+
 def masked_mse_oracle(pred, gt, mask) -> float:
     num = den = 0.0
     h, w = np.asarray(pred).shape
@@ -788,11 +811,11 @@ def detect_multi_orientation_oracle(maps_by_turn, omaps):
         frame_size = maps_by_turn[t].shape
         back = (4 - t) % 4
         for group in cluster_blocks([c[3] for c in kept if c[1] == t], maps_by_turn[t], block_params):
-            group = merge_block_lines(group, block_params, extract_params.max_control_points)
+            group = merge_block_lines(group, frame_size, block_params, extract_params.max_control_points)
             lines = []
             for line in group.lines:
                 polygon = in_original.get(id(line))
-                if polygon is None:  # a merged line; PageLayout clips it to the page
+                if polygon is None:  # a merged line, clipped to its frame; PageLayout clips it to the page
                     polygon = orient.rotate_polygon(line.polygon, frame_size, back)
                 baseline = Polyline(rotate90_points(line.baseline.points, frame_size, back))
                 lines.append((reading_key(baseline, line.id), baseline, line.ascender, line.descender, polygon))

@@ -27,6 +27,7 @@ from oracles import (
     closure_partition_oracle,
     connected_components_oracle,
     greedy_match_oracle,
+    neighbours_oracle,
     percentile_oracle,
     rect_iou_oracle,
     total_loss_oracle,
@@ -214,7 +215,7 @@ def test_criterion_6_algorithmic_oracles():
         if p == tp / len(pred) and r == tp / len(gt):
             match_ok += 1
 
-    from pagelayout.blocks import _neighbours, _x_interval
+    from pagelayout.blocks import _x_interval
 
     cluster_ok = 0
     params = BlockParams()
@@ -234,7 +235,7 @@ def test_criterion_6_algorithmic_oracles():
         for i in range(n):
             for j in range(n):
                 if i != j:
-                    adj[i, j] = _neighbours(lines[i], lines[j], maps, params, x_ints[i], x_ints[j], mids[i], mids[j])
+                    adj[i, j] = neighbours_oracle(lines[i], lines[j], maps, params, x_ints[i], x_ints[j], mids[i], mids[j])
         want = {frozenset(f"l{i}" for i in comp) for comp in closure_partition_oracle(adj)}
         got = {frozenset(ln.id for ln in b.lines) for b in cluster_blocks(lines, maps, params)}
         if got == want:

@@ -132,6 +132,22 @@ class TestContainer:
                 np.zeros((2, 2), np.float32),
             )
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_planes_rejected(self, shape):
+        for cls in (ChannelMaps, OrientationMaps):
+            with pytest.raises(MapFormatError, match="with pixels"):
+                cls.zeros(*shape)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, value):
+        # asc has no upper bound and ox is bounded on both sides: min and max alone must catch each value
+        for cls, name in ((ChannelMaps, "asc"), (OrientationMaps, "ox")):
+            planes = cls.zeros(2, 3).channels()
+            planes[name] = np.zeros((2, 3), np.float32)
+            planes[name][1, 2] = value
+            with pytest.raises(MapFormatError, match=f"'{name}' contains NaN or infinite values"):
+                cls(**planes)
+
 
 class TestRotateMaps:
     def test_turns_zero_identity(self):

@@ -6,6 +6,7 @@ import pytest
 import pagelayout.blocks
 import pagelayout.geometry
 import pagelayout.orient
+from pagelayout.baselines import ExtractParams
 from pagelayout.blocks import (
     BlockParams,
     _drop_self_intersections,
@@ -17,7 +18,7 @@ from pagelayout.blocks import (
     nearest_rank_percentile,
     polygon_from_baseline,
 )
-from pagelayout.channels import ChannelMaps, rotate_maps
+from pagelayout.channels import ChannelMaps, OrientationMaps, rotate_maps
 from pagelayout.geometry import Polyline
 from pagelayout.layout import TextBlock, TextLine, baseline_midpoint, load_layout, save_layout
 from pagelayout.orient import detect_multi_orientation
@@ -31,6 +32,7 @@ from oracles import (
     detect_multi_orientation_oracle,
     drop_self_intersections_oracle,
     merge_fixpoint_oracle,
+    neighbours_oracle,
     percentile_oracle,
 )
 
@@ -169,13 +171,13 @@ class TestClusterBlocks:
         assert [ln.id for ln in blocks[0].lines] == ["l0", "l1"]
 
     def test_touching_intervals_are_not_neighbours(self):
-        from pagelayout.blocks import _neighbours, _x_interval
+        from pagelayout.blocks import _x_interval
 
         left = make_line("l0", 5, 30, 16, 8.0, 3.0)
         for x0, together in ((30, False), (29.5, True)):  # touching, then overlapping by half a pixel
             right = make_line("l1", x0, 55, 20, 8.0, 3.0)
             args = (_x_interval(left), _x_interval(right), 16.0, 20.0)
-            assert _neighbours(left, right, maps_with(), BlockParams(), *args) == together
+            assert neighbours_oracle(left, right, maps_with(), BlockParams(), *args) == together
             assert len(cluster_blocks([left, right], maps_with(), BlockParams())) == (1 if together else 2)
 
     def test_chain_split_by_rendered_boundary(self):
@@ -215,13 +217,13 @@ class TestClusterBlocks:
                 lines.append(make_line(f"l{i}", x0, x0 + rng.uniform(15, 30), y, 5.0, 2.0))
             block_ch = (rng.uniform(0, 1, (48, 64)) > 0.8).astype(np.float64)
             maps = maps_with(block=block_ch)
-            from pagelayout.blocks import _neighbours, _x_interval
+            from pagelayout.blocks import _x_interval
 
             adj = np.zeros((n, n), dtype=bool)
             for i in range(n):
                 for j in range(n):
                     if i != j:
-                        adj[i, j] = _neighbours(
+                        adj[i, j] = neighbours_oracle(
                             lines[i],
                             lines[j],
                             maps,
@@ -251,7 +253,7 @@ class TestClusterBlocks:
 class TestMergeBlockLines:
     def test_single_line_unchanged(self):
         block = make_block("b0", [make_line("l0", 5, 50, 16, 8.0, 3.0)])
-        assert merge_block_lines(block, BlockParams()) is block
+        assert merge_block_lines(block, (48, 64), BlockParams()) is block
 
     def test_collinear_fragments_merge(self):
         h = 8.0 + 3.0
@@ -259,7 +261,7 @@ class TestMergeBlockLines:
         f0 = make_line("f0", 5, 30, 16, 8.0, 3.0)
         f1 = make_line("f1", 30 + gap, 60, 16, 8.0, 3.0)
         block = make_block("b0", [f0, f1])
-        merged = merge_block_lines(block, BlockParams())
+        merged = merge_block_lines(block, (48, 64), BlockParams())
         assert len(merged.lines) == 1
         line = merged.lines[0]
         assert line.id == "f0"
@@ -270,7 +272,7 @@ class TestMergeBlockLines:
     def test_merged_baseline_honours_max_control_points(self):
         f0 = make_line("f0", 5, 30, 16, 8.0, 3.0)
         f1 = make_line("f1", 35, 60, 16, 8.0, 3.0)
-        merged = merge_block_lines(make_block("b0", [f0, f1]), BlockParams(), max_control_points=3)
+        merged = merge_block_lines(make_block("b0", [f0, f1]), (48, 64), BlockParams(), max_control_points=3)
         assert len(merged.lines) == 1
         assert len(merged.lines[0].baseline.points) <= 3
 
@@ -278,14 +280,14 @@ class TestMergeBlockLines:
         l0 = make_line("l0", 5, 50, 16, 8.0, 3.0)
         l1 = make_line("l1", 5, 50, 26, 6.5, 3.5)
         block = make_block("b0", [l0, l1])
-        merged = merge_block_lines(block, BlockParams())
+        merged = merge_block_lines(block, (48, 64), BlockParams())
         assert len(merged.lines) == 2
 
     def test_fixpoint_idempotent(self):
         frags = [make_line(f"f{i}", 5 + 18 * i, 18 + 18 * i, 16, 6.0, 2.0) for i in range(3)]
         block = make_block("b0", frags)
-        once = merge_block_lines(block, BlockParams())
-        twice = merge_block_lines(once, BlockParams())
+        once = merge_block_lines(block, (48, 64), BlockParams())
+        twice = merge_block_lines(once, (48, 64), BlockParams())
         assert len(once.lines) == 1
         assert len(twice.lines) == len(once.lines)
 
@@ -293,7 +295,7 @@ class TestMergeBlockLines:
         f0 = make_line("f0", 5, 20, 16, 6.0, 2.0)
         f1 = make_line("f1", 40, 60, 16, 6.0, 2.0)  # gap 20 > 1.0 * 8
         block = make_block("b0", [f0, f1])
-        assert len(merge_block_lines(block, BlockParams()).lines) == 2
+        assert len(merge_block_lines(block, (48, 64), BlockParams()).lines) == 2
 
 
 def fragment_chain_block(rng, n):
@@ -322,7 +324,7 @@ class TestMergeFixpointOracle:
         for trial in range(40):
             block = fragment_chain_block(rng, int(rng.integers(2, 31)))
             p = params[trial % 2]
-            got = merge_block_lines(block, p, max_control_points)
+            got = merge_block_lines(block, (160, 420), p, max_control_points)
             want = merge_fixpoint_oracle(block, p, max_control_points)
             assert save_layout(make_page([make_block(got.id, got.lines)], 160, 420)) == save_layout(
                 make_page([want], 160, 420)
@@ -358,6 +360,26 @@ class TestExtractPage:
             assert (arr >= 0).all() and (arr[:, 0] <= 128).all() and (arr[:, 1] <= 64).all()
         data = save_layout(pred)
         assert save_layout(load_layout(data)) == data
+
+    @pytest.mark.parametrize("with_row_below", [True, False])
+    def test_merged_line_with_no_area_is_dropped(self, with_row_below):
+        # With two control points and the 0th height percentile, two
+        # top-row fragments merge into a baseline on y = 0 that keeps the
+        # smaller descender, 0: its polygon lies wholly above the page.
+        base, asc, des = np.zeros((24, 60)), np.full((24, 60), 20.0), np.zeros((24, 60))
+        base[0, 2:21] = des[0, 2:21] = 1.0  # a flat fragment, descender 1
+        xs = np.arange(16, 60)
+        base[np.rint(np.maximum(0, 12 - 12 * (xs - 16) / 14)).astype(int), xs] = 1.0  # a slope onto row 0, descender 0
+        if with_row_below:  # a full row that shares the fragments' group and keeps it
+            base[20, :] = des[20, :] = 1.0
+        maps = maps_with(base, asc, des, h=24, w=60)
+        params = (ExtractParams(max_control_points=2), BlockParams(height_percentile=0))
+        ones, zeros = np.ones((24, 60)), np.zeros((24, 60))
+        for pred in (
+            extract_page(maps, *params),
+            detect_multi_orientation({t: rotate_maps(maps, t) for t in (0, 1, 3)}, OrientationMaps(ones, zeros), *params),
+        ):
+            assert [ln.baseline.points[0, 1] for ln in pred.lines()] == ([20.0] if with_row_below else [])
 
 
 class TestEachBlockBuiltOnce:

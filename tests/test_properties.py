@@ -1,14 +1,20 @@
 """Properties over generated inputs (Hypothesis; the budget is the profile in conftest.py).
 
 Extraction is total on valid maps, and its layout survives a JSON round trip
-byte for byte; reading a damaged ``.pncm`` fails only with ``MapFormatError``.
+byte for byte; on lines at the page edges every polygon is clipped where it
+is built, so ``PageLayout`` never has to rebuild a block; reading a damaged
+``.pncm`` fails only with ``MapFormatError``.
 """
+
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import pagelayout.layout
+from pagelayout.baselines import detect_baselines
 from pagelayout.blocks import extract_page
 from pagelayout.channels import ChannelMaps, MapFormatError, OrientationMaps, read_maps, rotate_maps, write_maps
 from pagelayout.layout import load_layout, save_layout
@@ -68,6 +74,85 @@ def test_multi_orientation_is_total_and_round_trips(maps, field):
         angle = np.random.default_rng(seed).uniform(-np.pi, np.pi, maps.shape)
         omaps = OrientationMaps(np.cos(angle), np.sin(angle))
     assert_round_trips(detect_multi_orientation({t: rotate_maps(maps, t) for t in (0, 1, 3)}, omaps))
+
+
+def edge_page(height: int, width: int, seed: int) -> ChannelMaps:
+    """Rows within 3 px of the top and the bottom edge, each beside a full row that clusters with it.
+
+    An edge row is a torn dash row (straight, regular dashes) or a wavy
+    stroke torn in 1-4 places; both reach within 3 px of the left and right
+    edges.  Its companion row lies 0.55-0.95 line heights inward, so the
+    pieces of the edge row share its block and merge; ascender 2-20 and
+    descender 0-6 px carry their polygons off the page.
+    """
+    rng = np.random.default_rng(seed)
+    asc, des = rng.uniform(2, 20), rng.uniform(0, 6)
+    base = np.zeros((height, width))
+    for inward in (1, -1):
+        edge_y = rng.uniform(0, 3) if inward == 1 else height - 1 - rng.uniform(0, 3)
+        companion_y = edge_y + inward * rng.uniform(0.55, 0.95) * (asc + des)
+        for y, torn in ((edge_y, True), (companion_y, False)):
+            xs = np.arange(int(rng.integers(0, 4)), width - int(rng.integers(0, 4)))
+            if not (0 <= y <= height - 1) or len(xs) == 0:
+                continue
+            keep = np.ones(len(xs), dtype=bool)
+            if rng.uniform() < 0.5:  # a dash row
+                ys = np.full(len(xs), y)
+                if torn:
+                    period = int(rng.integers(14, 40))
+                    keep = (xs - xs[0]) % period < period - int(rng.integers(6, 10))
+            else:  # a wavy stroke
+                ys = y + rng.uniform(0, 2) * np.sin(xs / rng.uniform(3, 13) + rng.uniform(0, 2 * np.pi))
+                for _ in range(int(rng.integers(1, 5)) if torn else 0):
+                    gap = int(rng.integers(0, len(xs)))
+                    keep[gap : gap + int(rng.integers(6, 10))] = False
+            rows = np.clip(np.rint(ys), 0, height - 1).astype(int)
+            base[rows[keep], xs[keep]] = 1.0
+    zero = np.zeros((height, width))
+    return ChannelMaps(base, zero, np.full((height, width), asc), np.full((height, width), des), zero)
+
+
+@contextmanager
+def rebuilt_blocks():
+    """Ids of the blocks ``PageLayout`` rebuilds because a polygon or baseline leaves the page."""
+    rebuilt = []
+    clamp = pagelayout.layout._clamp_block
+
+    def counting(block, h, w):
+        out = clamp(block, h, w)
+        if out is not block:
+            rebuilt.append(block.id)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pagelayout.layout, "_clamp_block", counting)
+        yield rebuilt
+
+
+# a page whose torn top row merges into one line, with an unclipped polygon reaching above y = 0
+MERGED_EDGE_PAGE = (48, 160, 1)
+
+
+@given(st.integers(8, 64), st.integers(24, 160), seeds, st.sampled_from([0, 1, 3]))
+@example(*MERGED_EDGE_PAGE, 0)
+def test_edge_pages_are_clipped_where_built(height, width, seed, turn):
+    page = rotate_maps(edge_page(height, width, seed), turn)
+    # the rows' direction, turned with the page
+    field = rotate_maps(OrientationMaps(np.ones((height, width)), np.zeros((height, width))), turn)
+    with rebuilt_blocks() as rebuilt:
+        assert_round_trips(extract_page(page))
+        assert_round_trips(detect_multi_orientation({t: rotate_maps(page, t) for t in (0, 1, 3)}, field))
+    assert rebuilt == []
+
+
+def test_merged_edge_line_is_clipped_where_built():
+    page = edge_page(*MERGED_EDGE_PAGE)
+    with rebuilt_blocks() as rebuilt:
+        layout = extract_page(page)
+    assert rebuilt == []
+    assert len(layout.lines()) < len(detect_baselines(page))  # the torn rows merged
+    top = layout.blocks[0].lines[0]
+    assert top.baseline.points[:, 1].max() == 0.0 and top.polygon.bounds()[1] == 0.0  # its ascender is cut at y = 0
 
 
 def assert_reads_or_rejects(data: bytes):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pagelayout._raster import disk_window, polygon_window, stroke_window
+from pagelayout._raster import polygon_window, stroke_window
 from pagelayout.blocks import polygon_from_baseline
 from pagelayout.channels import OrientationMaps
 from pagelayout.geometry import Polyline
@@ -68,17 +68,19 @@ class TestStrokeWindow:
 
 
 class TestDiskWindow:
+    """A disk is the stroke of a one-point polyline, as ``render_gt`` paints baseline ends."""
+
     def test_random_disks_match_pixel_oracle(self):
         rng = np.random.default_rng(1)
         h, w = SHAPE
         for _ in range(60):
             center = (float(rng.uniform(-8, w + 8)), float(rng.uniform(-8, h + 8)))
             radius = float(rng.uniform(1.0, 6.0))
-            got = paste(*disk_window(center, radius, SHAPE))
+            got = paste(*stroke_window(np.array([center, center]), SHAPE, 2 * radius))
             assert np.array_equal(got, disk_pixels_oracle(center, radius, SHAPE))
 
     def test_wholly_outside_is_empty(self):
-        window, mask = disk_window((-10.0, 5.0), 3.0, SHAPE)
+        window, mask = stroke_window(np.array([(-10.0, 5.0), (-10.0, 5.0)]), SHAPE, 2 * 3.0)
         assert mask.size == 0
         assert not paste(window, mask).any()
 
