@@ -11,7 +11,6 @@ between them both stay below threshold.
 
 from __future__ import annotations
 
-import bisect
 import logging
 import math
 from dataclasses import dataclass
@@ -241,9 +240,6 @@ class _Fragment(NamedTuple):
     descender: float
     line: TextLine | None = None
 
-    def sort_key(self) -> tuple[float, str]:
-        return (float(self.baseline.points[:, 0].min()), self.id)
-
     def columns(self) -> tuple[float, float, float, float]:
         """(left x, right x, midpoint y, height): what the merge test reads."""
         xs = self.baseline.points[:, 0]
@@ -286,45 +282,43 @@ def merge_block_lines(
     Two lines qualify when their baseline-midpoint |dy| is within
     ``merge_y_tolerance`` x min height and their horizontal gap within
     ``merge_x_gap`` x min height.  With the lines sorted by (left baseline
-    x, id), the first qualifying pair in row-major order merges, into a
-    line that keeps the left one's id and takes its sorted place; this
-    repeats until no pair qualifies (a fixpoint).  A merged baseline is
-    resampled to at most ``max_control_points`` points.  Reads only
-    ``block.id`` and ``block.lines``; returns ``block`` if nothing merges.
+    x, id), the first qualifying pair (i, j) in row-major order merges until
+    no pair qualifies (a fixpoint).  The merged line starts where line i
+    does and keeps its id, hence its sort key: it takes slot i, and slot j
+    empties.  A merged baseline is resampled to at most
+    ``max_control_points`` points.  Reads only ``block.id`` and
+    ``block.lines``; returns ``block`` if nothing merges.
 
-    The pair test depends only on the two lines, and the others keep their
-    order, so after a merge only the merged line's row and column of the
-    condition matrix are recomputed.  Line polygons are built once, for the
-    merged lines that remain, clipped to the frame ``shape`` the lines were
-    built in; a merged line with no area left there is dropped.
+    The pair test depends only on the two lines, so the condition matrix
+    (its upper triangle) is built once; a merge recomputes row and column i
+    and clears j.  Line polygons are built once, for the merged lines that
+    remain, clipped to the frame ``shape`` the lines were built in; a merged
+    line with no area left there is dropped.
     """
     params = params or BlockParams()
+    if len(block.lines) < 2:
+        return block
     frags = [_Fragment(ln.id, ln.baseline, ln.ascender, ln.descender, ln) for ln in block.lines]
-    frags.sort(key=_Fragment.sort_key)
-    keys = [f.sort_key() for f in frags]
-    cols = np.array([f.columns() for f in frags]).reshape(-1, 4)
-    cond = _merge_condition(cols, cols, params)  # read above the diagonal only
+    frags.sort(key=lambda f: (float(f.baseline.points[:, 0].min()), f.id))
+    cols = np.array([f.columns() for f in frags])
+    cond = np.triu(_merge_condition(cols, cols, params), 1)
+    live = np.ones(len(frags), dtype=bool)
     while True:
-        hits = np.flatnonzero(np.triu(cond, 1))
-        if len(hits) == 0:
+        i, j = divmod(int(cond.argmax()), len(frags))
+        if not cond[i, j]:
             break
-        i, j = divmod(int(hits[0]), len(frags))
-        merged = _merge_pair(frags[i], frags[j], params, max_control_points)
-        for seq in (frags, keys):
-            del seq[j], seq[i]
-        cols = np.delete(cols, (i, j), axis=0)
-        cond = np.delete(np.delete(cond, (i, j), axis=0), (i, j), axis=1)
-        # after every line of equal key, as a stable re-sort would put it
-        k = bisect.bisect_right(keys, merged.sort_key())
-        frags.insert(k, merged)
-        keys.insert(k, merged.sort_key())
-        cols = np.insert(cols, k, merged.columns(), axis=0)
-        cond = np.insert(np.insert(cond, k, False, axis=0), k, False, axis=1)
-        cond[k] = cond[:, k] = _merge_condition(cols[k : k + 1], cols, params)[0]
-    if len(frags) == len(block.lines):
+        frags[i] = _merge_pair(frags[i], frags[j], params, max_control_points)
+        frags[j] = None
+        live[j] = False
+        cond[j] = cond[:, j] = False
+        cols[i] = frags[i].columns()
+        hits = _merge_condition(cols[i : i + 1], cols, params)[0] & live
+        cond[:i, i] = hits[:i]
+        cond[i, i + 1 :] = hits[i + 1 :]
+    if live.all():
         return block
     lines = []
-    for f in frags:
+    for f in filter(None, frags):  # the slots left live
         if f.line is not None:
             lines.append(f.line)
             continue

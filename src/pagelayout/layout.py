@@ -1,9 +1,12 @@
 """Structured page layout model (pages, blocks, lines) and its JSON form.
 
-The serialization is canonical: fixed field order, every coordinate
-rendered as a shortest-round-trip float, so two semantically equal layouts
-produce identical bytes.  ``load_layout`` rejects documents that violate
-the model invariants and reports the path of the offending field.
+Each model object checks its invariants when it is built (a ``PageLayout``:
+all its geometry lies in [0, width] x [0, height]); a violation raises
+``LayoutError`` naming the field, and nothing is repaired.  The
+serialization is canonical: fixed field order, every coordinate rendered as
+a shortest-round-trip float, so two semantically equal layouts produce
+identical bytes.  ``load_layout`` rejects documents that violate the model
+invariants and reports the path of the offending field.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _raster
-from .geometry import Polygon, Polyline, _contains_within, clip_to_page, intersection_area, offset_chains
+from .geometry import Polygon, Polyline, _contains_within, intersection_area, offset_chains
 
 _CONTAIN_MIN = 0.95  # fraction of a line polygon its block must cover
 # bound on every coordinate, height and size ``load_layout`` accepts: far
@@ -120,13 +123,20 @@ class PageLayout:
     def __post_init__(self):
         if self.height <= 0 or self.width <= 0:
             raise LayoutError("size", "page dimensions must be positive")
-        object.__setattr__(self, "blocks", [_clamp_block(b, self.height, self.width) for b in self.blocks])
         seen: set[str] = set()
         for block in self.blocks:
             for line in block.lines:
                 if line.id in seen:
                     raise LayoutError(f"line {line.id!r}", "duplicate line id")
                 seen.add(line.id)
+                self._check_on_page(line.polygon.ring, f"line {line.id!r}.polygon")
+                self._check_on_page(line.baseline.points, f"line {line.id!r}.baseline")
+            self._check_on_page(block.polygon.ring, f"block {block.id!r}.polygon")
+
+    def _check_on_page(self, points: np.ndarray, path: str):
+        (x0, y0), (x1, y1) = points.min(axis=0), points.max(axis=0)
+        if not (x0 >= 0 and y0 >= 0 and x1 <= self.width and y1 <= self.height):
+            raise LayoutError(path, f"reaches off the page [0, {self.width}] x [0, {self.height}]")
 
     @property
     def size(self) -> tuple[int, int]:
@@ -134,34 +144,6 @@ class PageLayout:
 
     def lines(self) -> list[TextLine]:
         return [line for block in self.blocks for line in block.lines]
-
-
-def _clamp_points(arr: np.ndarray, h: int, w: int) -> np.ndarray:
-    out = arr.copy()
-    out[:, 0] = np.clip(out[:, 0], 0.0, float(w))
-    out[:, 1] = np.clip(out[:, 1], 0.0, float(h))
-    return out
-
-
-def _clamp_block(block: TextBlock, h: int, w: int) -> TextBlock:
-    def in_bounds(arr):
-        return (arr[:, 0] >= 0).all() and (arr[:, 0] <= w).all() and (arr[:, 1] >= 0).all() and (arr[:, 1] <= h).all()
-
-    if in_bounds(block.polygon.ring) and all(
-        in_bounds(ln.baseline.points) and in_bounds(ln.polygon.ring) for ln in block.lines
-    ):
-        return block
-    lines = [
-        TextLine(
-            ln.id,
-            Polyline(_clamp_points(ln.baseline.points, h, w)),
-            ln.ascender,
-            ln.descender,
-            clip_to_page(ln.polygon, h, w),
-        )
-        for ln in block.lines
-    ]
-    return TextBlock(block.id, lines, clip_to_page(block.polygon, h, w))
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +219,7 @@ def _reported_at(path: str):
 
 
 def load_layout(data: bytes | str) -> PageLayout:
+    """Parse a ``save_layout`` document; ``LayoutError`` names its first bad field (off-page geometry included)."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     try:

@@ -84,7 +84,10 @@ def _orientation_gate(omaps: OrientationMaps) -> dict[int, np.ndarray]:
 
 
 def rotate_polygon(polygon: Polygon, size_hw: tuple[int, int], turns: int) -> Polygon:
-    return Polygon(rotate90_points(polygon.ring, size_hw, turns), check_simple=False)
+    """Map a polygon between frames, clipped to the one it maps into (a pixel-centre quarter
+    turn carries an edge 1 px past it); raises ``ValueError`` when no area is left there."""
+    ring = rotate90_points(polygon.ring, size_hw, turns)
+    return clip_to_page(Polygon(ring, check_simple=False), *rotated_size(size_hw, turns))
 
 
 def rotate_line(line: TextLine, size_hw: tuple[int, int], turns: int) -> TextLine:
@@ -163,7 +166,7 @@ def detect_multi_orientation(
         for i, bl in enumerate(_detect(base, maps.end, extract_params)):
             try:
                 frame_line = line_polygon(bl, maps, block_params, line_id=f"t{t}l{i}")
-                polygon = clip_to_page(rotate_polygon(frame_line.polygon, frame_size, back), *size0)
+                polygon = rotate_polygon(frame_line.polygon, frame_size, back)
             except ValueError:
                 continue
             try:
@@ -194,12 +197,12 @@ def detect_multi_orientation(
             for line in group.lines:
                 polygon = in_original.get(id(line))
                 if polygon is None:  # a merged line
-                    polygon = clip_to_page(rotate_polygon(line.polygon, frame_size, back), *size0)
+                    polygon = rotate_polygon(line.polygon, frame_size, back)
                 baseline = Polyline(rotate90_points(line.baseline.points, frame_size, back))
                 lines.append(_Placed(reading_key(baseline, line.id), baseline, line.ascender, line.descender, polygon))
             lines.sort(key=lambda p: p.order)
             if lines:  # merging drops a line with no area left on the frame
-                outline = clip_to_page(rotate_polygon(block_polygon(group.lines), frame_size, back), *size0)
+                outline = rotate_polygon(block_polygon(group.lines), frame_size, back)
                 placed.append((outline, lines))
 
     placed.sort(key=lambda p: (p[0].bounds()[1], p[0].bounds()[0]))  # top edge, then left edge

@@ -815,7 +815,7 @@ def detect_multi_orientation_oracle(maps_by_turn, omaps):
             lines = []
             for line in group.lines:
                 polygon = in_original.get(id(line))
-                if polygon is None:  # a merged line, clipped to its frame; PageLayout clips it to the page
+                if polygon is None:  # a merged line, clipped to its frame; rotate_polygon clips it to the page
                     polygon = orient.rotate_polygon(line.polygon, frame_size, back)
                 baseline = Polyline(rotate90_points(line.baseline.points, frame_size, back))
                 lines.append((reading_key(baseline, line.id), baseline, line.ascender, line.descender, polygon))

@@ -23,13 +23,13 @@ class TestRenderGt:
             assert not arr.any()
 
     def test_single_line_against_direct_rasterization(self):
-        # one horizontal baseline y=10, x in [5, 20], ascender 12, descender 4
-        line = make_line("l0", 5, 20, 10, 12.0, 4.0)
+        # one horizontal baseline y=14, x in [5, 20], ascender 12, descender 4
+        line = make_line("l0", 5, 20, 14, 12.0, 4.0)
         page = make_page([make_block("b0", [line])], height=32, width=32)
         maps = render_gt(page, RenderParams())
         for r in range(32):
             for c in range(32):
-                d = segment_distance(c, r, 5, 10, 20, 10)
+                d = segment_distance(c, r, 5, 14, 20, 14)
                 assert maps.base[r, c] == (1.0 if d <= 1.5 else 0.0), (r, c)
         fg = maps.base == 1.0
         assert np.array_equal(maps.asc[fg], np.full(fg.sum(), 12.0, np.float32))
@@ -38,7 +38,7 @@ class TestRenderGt:
         # endpoint disks centered at the baseline ends
         for r in range(32):
             for c in range(32):
-                d = min(np.hypot(c - 5, r - 10), np.hypot(c - 20, r - 10))
+                d = min(np.hypot(c - 5, r - 14), np.hypot(c - 20, r - 14))
                 assert maps.end[r, c] == (1.0 if d <= 3.0 else 0.0), (r, c)
 
     def test_block_boundary_traces_outline_only(self, simple_page):

@@ -145,12 +145,20 @@ class TestValidation:
         with pytest.raises(LayoutError, match=r"covers only 0\.75 of line 'l1'"):
             TextBlock("b0", lines[::-1], top)
 
-    def test_out_of_bounds_geometry_is_clamped(self):
-        line = make_line("l0", -5, 80, 6, 5.0, 3.0)  # pokes above y=0 and left of x=0
-        page = make_page([make_block("b0", [line])], height=64, width=96)
-        for ln in page.lines():
-            assert ln.polygon.ring[:, 0].min() >= 0
-            assert ln.polygon.ring[:, 1].min() >= 0
+    def test_out_of_bounds_geometry_is_rejected(self):
+        line = make_line("l0", -5, 80, 6, 5.0, 3.0)  # reaches left of x=0
+        with pytest.raises(LayoutError, match=r"^line 'l0'\.polygon: reaches off the page") as err:
+            make_page([make_block("b0", [line])], height=64, width=96)
+        assert err.value.path == "line 'l0'.polygon"
+
+    def test_load_rejects_off_page_line_polygon(self):
+        page = make_page([make_block("b0", [make_line("l0", 8, 95, 20, 10.0, 3.0)])], height=64, width=96)
+        doc = json.loads(save_layout(page))
+        ring = doc["blocks"][0]["lines"][0]["polygon"]
+        ring[int(np.argmax([x for x, _ in ring]))][0] = page.width + 1  # the block still covers the line
+        with pytest.raises(LayoutError) as err:
+            load_layout(json.dumps(doc))
+        assert err.value.path == "line 'l0'.polygon"
 
 
 class TestReadingOrder:

@@ -2,18 +2,15 @@
 
 Extraction is total on valid maps, and its layout survives a JSON round trip
 byte for byte; on lines at the page edges every polygon is clipped where it
-is built, so ``PageLayout`` never has to rebuild a block; reading a damaged
-``.pncm`` fails only with ``MapFormatError``.
+is built, so ``PageLayout``, which rejects off-page geometry, accepts every
+layout; reading a damaged ``.pncm`` fails only with ``MapFormatError``.
 """
-
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-import pagelayout.layout
 from pagelayout.baselines import detect_baselines
 from pagelayout.blocks import extract_page
 from pagelayout.channels import ChannelMaps, MapFormatError, OrientationMaps, read_maps, rotate_maps, write_maps
@@ -112,23 +109,6 @@ def edge_page(height: int, width: int, seed: int) -> ChannelMaps:
     return ChannelMaps(base, zero, np.full((height, width), asc), np.full((height, width), des), zero)
 
 
-@contextmanager
-def rebuilt_blocks():
-    """Ids of the blocks ``PageLayout`` rebuilds because a polygon or baseline leaves the page."""
-    rebuilt = []
-    clamp = pagelayout.layout._clamp_block
-
-    def counting(block, h, w):
-        out = clamp(block, h, w)
-        if out is not block:
-            rebuilt.append(block.id)
-        return out
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pagelayout.layout, "_clamp_block", counting)
-        yield rebuilt
-
-
 # a page whose torn top row merges into one line, with an unclipped polygon reaching above y = 0
 MERGED_EDGE_PAGE = (48, 160, 1)
 
@@ -139,17 +119,13 @@ def test_edge_pages_are_clipped_where_built(height, width, seed, turn):
     page = rotate_maps(edge_page(height, width, seed), turn)
     # the rows' direction, turned with the page
     field = rotate_maps(OrientationMaps(np.ones((height, width)), np.zeros((height, width))), turn)
-    with rebuilt_blocks() as rebuilt:
-        assert_round_trips(extract_page(page))
-        assert_round_trips(detect_multi_orientation({t: rotate_maps(page, t) for t in (0, 1, 3)}, field))
-    assert rebuilt == []
+    assert_round_trips(extract_page(page))
+    assert_round_trips(detect_multi_orientation({t: rotate_maps(page, t) for t in (0, 1, 3)}, field))
 
 
 def test_merged_edge_line_is_clipped_where_built():
     page = edge_page(*MERGED_EDGE_PAGE)
-    with rebuilt_blocks() as rebuilt:
-        layout = extract_page(page)
-    assert rebuilt == []
+    layout = extract_page(page)
     assert len(layout.lines()) < len(detect_baselines(page))  # the torn rows merged
     top = layout.blocks[0].lines[0]
     assert top.baseline.points[:, 1].max() == 0.0 and top.polygon.bounds()[1] == 0.0  # its ascender is cut at y = 0
