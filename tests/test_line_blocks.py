@@ -3,9 +3,12 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import pagelayout.blocks
 import pagelayout.geometry
+import pagelayout.layout
 import pagelayout.orient
 from pagelayout.baselines import ExtractParams
 from pagelayout.blocks import (
@@ -13,16 +16,18 @@ from pagelayout.blocks import (
     LineGroup,
     _drop_self_intersections,
     adjacency_penalty,
+    block_polygon,
     cluster_blocks,
     extract_page,
     line_polygon,
     merge_block_lines,
     nearest_rank_percentile,
+    outline_block,
     polygon_from_baseline,
 )
 from pagelayout.channels import ChannelMaps, OrientationMaps, rotate_maps
-from pagelayout.geometry import Polyline
-from pagelayout.layout import TextBlock, TextLine, baseline_midpoint, load_layout, save_layout
+from pagelayout.geometry import Polyline, convex_hull, intersection_area
+from pagelayout.layout import LayoutError, TextBlock, TextLine, baseline_midpoint, load_layout, save_layout
 from pagelayout.orient import detect_multi_orientation
 from pagelayout.render import render_gt, render_orientation_gt
 from pagelayout.synth import SynthConfig, corrupt, generate
@@ -30,6 +35,7 @@ from pagelayout.synth import SynthConfig, corrupt, generate
 from conftest import make_block, make_line, make_page
 from oracles import (
     adjacency_penalty_oracle,
+    block_polygon_oracle,
     closure_partition_oracle,
     detect_multi_orientation_oracle,
     drop_self_intersections_oracle,
@@ -416,11 +422,12 @@ class TestExtractPage:
 
 
 class TestEachBlockBuiltOnce:
-    """Each output block is outlined and checked once, not rebuilt per stage."""
+    """Each output block is outlined once, and its coverage is computed only by ``TextBlock``'s check:
+    one pass per construction, accepted or rejected, and none in the ``blocks`` module."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        calls = {"block_polygon": 0, "TextBlock": 0}
+        calls = dict.fromkeys(["block_polygon", "accepted", "rejected", "blocks_passes", "layout_passes"], 0)
         block_polygon = pagelayout.blocks.block_polygon
         post_init = TextBlock.__post_init__
 
@@ -429,31 +436,53 @@ class TestEachBlockBuiltOnce:
             return block_polygon(lines)
 
         def counted_post_init(block):
-            calls["TextBlock"] += 1
-            post_init(block)
+            try:
+                post_init(block)
+            except LayoutError:
+                calls["rejected"] += 1
+                raise
+            calls["accepted"] += 1
+
+        def counted_passes(key, fn):
+            def wrapped(*args):
+                calls[key] += 1
+                return fn(*args)
+
+            return wrapped
 
         monkeypatch.setattr(pagelayout.blocks, "block_polygon", counted_block_polygon)
         monkeypatch.setattr(TextBlock, "__post_init__", counted_post_init)
+        for module, key in ((pagelayout.blocks, "blocks_passes"), (pagelayout.layout, "layout_passes")):
+            monkeypatch.setattr(module, "intersection_area", counted_passes(key, module.intersection_area))
         return calls
 
+    @staticmethod
+    def assert_one_rule(counts, pred):
+        assert counts["accepted"] == len(pred.blocks)
+        assert counts["blocks_passes"] == 0
+        assert counts["layout_passes"] == counts["accepted"] + counts["rejected"]
+
     def test_noisy_pages(self, counts):
-        merges = 0
+        merges = rejected = 0
         for seed in range(4):
             maps = corrupt(render_gt(generate(SynthConfig(seed=seed))), 0.1, 3, 0.05, rng_seed=seed)
-            counts.update(block_polygon=0, TextBlock=0)
+            counts.update(dict.fromkeys(counts, 0))
             pred = extract_page(maps)
-            assert counts == {"block_polygon": len(pred.blocks), "TextBlock": len(pred.blocks)}
+            assert counts["block_polygon"] == len(pred.blocks)
+            self.assert_one_rule(counts, pred)
+            rejected += counts["rejected"]
             merges += len(extract_page(maps, merge=False).lines()) - len(pred.lines())
-        assert merges > 0
+        assert merges > 0 and rejected > 0  # both the merge and the hull fallback ran
 
     def test_multi_orientation_pages(self, counts):
         for seed in range(2):
             layout = generate(SynthConfig(seed=seed, vertical_line_prob=0.3))
             maps, omaps = render_gt(layout), render_orientation_gt(layout)
             frames = {0: maps, 1: rotate_maps(maps, 1), 3: rotate_maps(maps, 3)}
-            counts.update(TextBlock=0)
+            counts.update(dict.fromkeys(counts, 0))
             pred = detect_multi_orientation(frames, omaps)
-            assert pred.blocks and counts["TextBlock"] == len(pred.blocks)
+            assert pred.blocks
+            self.assert_one_rule(counts, pred)
 
 
 def kinked_line(rng, line_id, h=48, w=64):
@@ -466,6 +495,60 @@ def kinked_line(rng, line_id, h=48, w=64):
     pts = np.stack([xs, ys], axis=1)
     asc, des = float(rng.uniform(1, 14)), float(rng.choice([0.0, rng.uniform(0, 7)]))
     return TextLine(line_id, Polyline(pts), asc, des, polygon_from_baseline(pts, asc, des))
+
+
+def jittered_block_lines(rng):
+    """2-5 lines, one below the other, on jittered multi-point baselines of random lengths and heights."""
+    n = int(rng.integers(2, 6))
+    y = rng.uniform(10, 20)
+    lines = []
+    for i in range(n):
+        x0 = rng.uniform(0, 30)
+        k = int(rng.integers(2, 6))
+        xs = np.linspace(x0, x0 + rng.uniform(10, 120), k)
+        pts = np.stack([xs, y + rng.uniform(-2, 2, k)], axis=1)
+        asc, des = float(rng.uniform(3, 12)), float(rng.uniform(0, 5))
+        lines.append(TextLine(f"l{i}", Polyline(pts), asc, des, polygon_from_baseline(pts, asc, des)))
+        y += rng.uniform(8, 20)
+    return lines
+
+
+class TestOutlineBlock:
+    """``outline_block`` keeps the alpha shape whenever ``TextBlock``'s 0.95 check accepts it, where
+    the former rule (``block_polygon_oracle``) took the hull below 0.97: they differ only in between."""
+
+    @staticmethod
+    def in_band(lines):
+        """The alpha shape passes the 0.95 check but covers less than 0.97 of some line."""
+        covered = intersection_area(block_polygon(lines), [ln.polygon for ln in lines])
+        areas = np.array([ln.polygon.area for ln in lines])
+        return bool((covered >= (0.95 - 1e-9) * areas).all() and (covered < 0.97 * areas).any())
+
+    def test_matches_former_rule_outside_the_band(self):
+        hulls = 0
+        for seed in range(400):
+            lines = jittered_block_lines(np.random.default_rng(seed))
+            got = outline_block("b0", lines).polygon.ring
+            want = block_polygon(lines) if self.in_band(lines) else block_polygon_oracle(lines)
+            assert np.array_equal(got, want.ring), seed
+            hulls += not np.array_equal(got, block_polygon(lines).ring)
+        assert hulls > 100  # the hull fallback is exercised
+
+    @pytest.mark.parametrize("seed", [440, 2230])
+    def test_band_keeps_the_alpha_shape(self, seed):
+        lines = jittered_block_lines(np.random.default_rng(seed))
+        assert self.in_band(lines)
+        alpha = block_polygon(lines)
+        assert np.array_equal(outline_block("b0", lines).polygon.ring, alpha.ring)
+        assert not np.array_equal(block_polygon_oracle(lines).ring, alpha.ring)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8))
+    def test_total_on_kinked_lines(self, seed, n):
+        rng = np.random.default_rng(seed)
+        lines = [kinked_line(rng, f"l{i}") for i in range(n)]
+        got = outline_block("b0", lines).polygon.ring
+        hull = convex_hull(np.vstack([ln.polygon.ring for ln in lines]))
+        assert np.array_equal(got, block_polygon(lines).ring) or np.array_equal(got, hull.ring)
 
 
 class TestDropSelfIntersectionsOracle:
