@@ -109,12 +109,22 @@ def sample_polyline(points: np.ndarray, step: float = 1.0) -> np.ndarray:
     return np.stack([x, y], axis=1)
 
 
-def polyline_pixels(points: np.ndarray, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Integer (rows, cols) of in-bounds pixels traversed by the polyline."""
+def polyline_pixels(polylines: list[np.ndarray], shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Integer (rows, cols) of the in-bounds pixels each polyline traverses, and their counts per polyline.
+
+    The pixels of polyline k, its half-pixel samples rounded, come k-th,
+    in (row, col) order without repeats.  Only the sampling runs per
+    polyline; rounding and the per-polyline ``unique`` run over all
+    samples at once.
+    """
     h, w = shape
-    samples = sample_polyline(points, step=0.5)
-    cols = np.rint(samples[:, 0]).astype(np.int64)
-    rows = np.rint(samples[:, 1]).astype(np.int64)
+    samples = [sample_polyline(pts, step=0.5) for pts in polylines]
+    xy = np.concatenate(samples) if samples else np.zeros((0, 2))
+    cols = np.rint(xy[:, 0]).astype(np.int64)
+    rows = np.rint(xy[:, 1]).astype(np.int64)
     ok = (cols >= 0) & (cols < w) & (rows >= 0) & (rows < h)
-    keys = np.unique(rows[ok] * w + cols[ok])
-    return keys // w, keys % w
+    line = np.repeat(np.arange(len(samples)), [len(s) for s in samples])[ok]
+    keys = np.sort(line * (h * w) + rows[ok] * w + cols[ok])
+    keys = keys[np.diff(keys, prepend=-1) > 0]  # without repeats
+    line, keys = keys // (h * w), keys % (h * w)
+    return keys // w, keys % w, np.bincount(line, minlength=len(samples))

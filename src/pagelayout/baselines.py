@@ -125,23 +125,43 @@ def connected_components(
     return [(rows[bounds[c] : bounds[c + 1]], cols[bounds[c] : bounds[c + 1]]) for c in rank]
 
 
-def _fit_spline(rows: np.ndarray, cols: np.ndarray, max_points: int) -> Polyline:
-    """Fit uniformly spaced control points; y is the mean row per x-bin."""
-    minc, maxc = int(cols.min()), int(cols.max())
-    width = maxc - minc + 1
-    n = max(2, min(max_points, width))
-    xs = np.linspace(minc, maxc, n)
+def _fit_spline(components: list[tuple[np.ndarray, np.ndarray]], max_points: int) -> list[Polyline]:
+    """Fit uniformly spaced control points to each component; y is the mean row per x-bin.
+
+    A component spanning columns ``minc..maxc`` gets ``n = max(2,
+    min(max_points, width))`` control points at ``linspace(minc, maxc, n)``;
+    each pixel falls in the bin of its nearest control point, and a bin
+    without pixels takes the value interpolated between its neighbours.
+    All components are fitted at once: one ``bincount`` over (component,
+    bin) keys adds the rows of each bin in pixel order, so every sum is the
+    one a single component's ``bincount`` gives.
+    """
+    if not components:
+        return []
+    sizes = np.array([len(c) for _, c in components])
+    starts = np.cumsum(sizes) - sizes
+    rows = np.concatenate([r for r, _ in components]).astype(np.float64)
+    cols = np.concatenate([c for _, c in components]).astype(np.float64)
+    minc = np.minimum.reduceat(cols, starts).astype(np.int64)
+    maxc = np.maximum.reduceat(cols, starts).astype(np.int64)
+    n = np.maximum(2, np.minimum(max_points, maxc - minc + 1))
     step = (maxc - minc) / (n - 1)
-    bins = np.clip(np.rint((cols - minc) / step).astype(np.int64), 0, n - 1)
-    counts = np.bincount(bins, minlength=n)
-    sums = np.bincount(bins, weights=rows, minlength=n)
-    ys = np.full(n, np.nan)
-    nz = counts > 0
-    ys[nz] = sums[nz] / counts[nz]
-    if not nz.all():
-        idx = np.nonzero(nz)[0]
-        ys = np.interp(np.arange(n), idx, ys[idx])
-    return Polyline(np.stack([xs, ys], axis=1))
+    first_bin = np.cumsum(n) - n
+    bins = np.clip(np.rint((cols - np.repeat(minc, sizes)) / np.repeat(step, sizes)).astype(np.int64), 0, np.repeat(n - 1, sizes))
+    keys = np.repeat(first_bin, sizes) + bins
+    counts = np.bincount(keys, minlength=int(n.sum()))
+    sums = np.bincount(keys, weights=rows, minlength=int(n.sum()))
+    ys = np.divide(sums, counts, out=np.full(len(sums), np.nan), where=counts > 0)
+    for k in np.flatnonzero(np.add.reduceat(counts == 0, first_bin)):  # bins without pixels
+        part = ys[first_bin[k] : first_bin[k] + n[k]]
+        idx = np.nonzero(counts[first_bin[k] : first_bin[k] + n[k]])[0]
+        part[:] = np.interp(np.arange(n[k]), idx, part[idx])
+    xs = np.empty(len(ys))
+    for m in np.unique(n):
+        at = n == m
+        xs[first_bin[at, None] + np.arange(m)] = np.linspace(minc[at], maxc[at], m, axis=1)
+    pts = np.stack([xs, ys], axis=1)
+    return [Polyline(pts[a : a + m]) for a, m in zip(first_bin, n)]
 
 
 def detect_baselines(maps: ChannelMaps, params: ExtractParams | None = None) -> list[Polyline]:
@@ -158,7 +178,7 @@ def _detect(base: np.ndarray, end: np.ndarray, params: ExtractParams) -> list[Po
     np.maximum(response, 0.0, out=response)
     fg = response >= params.threshold
 
-    baselines = []
+    kept = []
     for rows, cols in connected_components(fg, params.cc_width, params.cc_height):
         width = int(cols.max()) - int(cols.min()) + 1
         if width < max(params.min_length, 2):
@@ -166,5 +186,5 @@ def _detect(base: np.ndarray, end: np.ndarray, params: ExtractParams) -> list[Po
         height = int(rows.max()) - int(rows.min()) + 1
         if height > params.cc_height:
             logger.debug("component taller than the connectivity window (%d px); fitting anyway", height)
-        baselines.append(_fit_spline(rows.astype(np.float64), cols.astype(np.float64), params.max_control_points))
-    return baselines
+        kept.append((rows, cols))
+    return _fit_spline(kept, params.max_control_points)

@@ -7,12 +7,20 @@ along locally perpendicular directions.  Two lines join the same block when
 they overlap horizontally, their baselines are vertically closer than the
 taller of the two line heights, and the boundary-channel penalty strips
 between them both stay below threshold.
+
+``extract_page`` keeps every detected baseline as plain data (a
+``_Fragment``: id, baseline, heights, offset chains and x-extent) through
+clustering and merging, and builds a polygon and a ``TextLine`` only for the
+lines that come out.  A fragment whose offset ring needs no repair and lies
+on the page takes its x-extent from its chains; any other ring is built
+where it is detected, exactly as :func:`line_polygon` builds it.  The
+per-fragment and per-pair kernels run as array kernels over all fragments,
+or all candidate pairs, of a page at once.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -23,11 +31,14 @@ from ._raster import polyline_pixels
 from .baselines import ExtractParams, detect_baselines
 from .channels import ChannelMaps
 from .geometry import (
+    _EPS,
     Polygon,
     Polyline,
     _contains_within,
     _edge_crossings,
+    _points_in_ring,
     _ring_crossings,
+    _segment_distance,
     alpha_shape,
     clip_to_page,
     convex_hull,
@@ -37,6 +48,9 @@ from .geometry import intersection_area  # noqa: F401  (perfbench's traced run w
 from .layout import LayoutError, PageLayout, TextBlock, TextLine, baseline_midpoint
 
 logger = logging.getLogger("pagelayout.blocks")
+
+# elements per temporary of the batched ring and strip kernels; larger batches run in chunks
+_BATCH_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -54,13 +68,17 @@ class BlockParams:
             raise ValueError("penalty_area_thickness must be >= 1")
 
 
+def _rank(pct: float, n):
+    """1-based nearest rank of the ``pct`` percentile among ``n`` values (scalar or array)."""
+    return np.maximum(1, np.ceil(pct * n / 100.0 - 1e-9)).astype(np.int64)
+
+
 def nearest_rank_percentile(values, pct: float) -> float:
     """The ceil(pct/100 * n)-th smallest value (nearest-rank percentile)."""
     arr = np.sort(np.asarray(values, dtype=np.float64).ravel())
     if len(arr) == 0:
         raise ValueError("empty sample")
-    k = int(math.ceil(pct * len(arr) / 100.0 - 1e-9))
-    return float(arr[max(1, k) - 1])
+    return float(arr[_rank(pct, len(arr)) - 1])
 
 
 def _drop_self_intersections(ring: np.ndarray) -> np.ndarray:
@@ -93,25 +111,58 @@ def _drop_self_intersections(ring: np.ndarray) -> np.ndarray:
 def polygon_from_baseline(points: np.ndarray, ascender: float, descender: float) -> Polygon:
     """Line polygon: baseline offset up by the ascender, down by the descender.
 
-    Rings that self-intersect at kinks are cleaned by vertex dropping; if
-    cleaning pushes the baseline outside, the convex hull of the offset ring
-    is used instead (the baseline is a convex combination of the two offset
-    chains, so the hull always contains it).
+    The offset ring is kept when it is simple and holds the baseline (within
+    0.45 px, inside ``TextLine``'s 0.5 with a margin; a two-point baseline's
+    rectangle always does).  Otherwise a ring that self-intersects at kinks
+    is cleaned by vertex dropping, and the cleaned ring is kept if it holds
+    the baseline; failing that, the convex hull of the offset ring is used
+    (the baseline is a convex combination of the two offset chains, so the
+    hull always holds it).
     """
     pts = np.asarray(points, dtype=np.float64)
     top, bottom = offset_chains(pts, float(ascender), float(descender))
     ring = np.vstack([top, bottom[::-1]])
     try:
-        return Polygon(ring)
-    except ValueError:
-        pass
-    try:
-        cleaned = Polygon(_drop_self_intersections(ring), check_simple=False)
-        if _contains_within(cleaned, pts, 0.45):  # inside TextLine's 0.5 with a margin
-            return cleaned
+        try:
+            polygon = Polygon(ring)
+        except ValueError:  # a simple ring is its own cleaned ring
+            polygon = Polygon(_drop_self_intersections(ring), check_simple=False)
+        if len(pts) == 2 or _contains_within(polygon, pts, 0.45):  # two points lie on the ring's end edges
+            return polygon
     except ValueError:
         pass
     return convex_hull(ring)
+
+
+def _heights(baselines: list[Polyline], maps: ChannelMaps, pct: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ascenders, descenders, on page): the nearest-rank ``pct`` percentile of each height channel
+    over each baseline's pixels, the ascender at least 1 and the descender at least 0; a baseline
+    with no pixel on the page has none.
+
+    Each baseline's values are sorted in one row of a +inf-padded array,
+    baselines in chunks of about ``_BATCH_ELEMENTS`` elements.
+    """
+    rows, cols, counts = polyline_pixels([bl.points for bl in baselines], maps.shape)
+    on_page = counts > 0
+    counts = counts[on_page]
+    ends = np.cumsum(counts)
+    line = np.repeat(np.arange(len(counts)), counts)
+    slot = np.arange(len(rows)) - np.repeat(ends - counts, counts)  # place in its baseline's row
+    rank = _rank(pct, counts) - 1
+    per = max(1, _BATCH_ELEMENTS // int(counts.max(initial=1)))
+    heights = np.zeros((2, len(counts)))
+    for c, plane in enumerate((maps.asc, maps.des)):
+        values = plane[rows, cols].astype(np.float64)
+        for a in range(0, len(counts), per):
+            b = min(a + per, len(counts))
+            at = slice(ends[a] - counts[a], ends[b - 1])
+            grid = np.full((b - a, int(counts[a:b].max())), np.inf)
+            grid[line[at] - a, slot[at]] = values[at]
+            grid.sort(axis=1)
+            heights[c, a:b] = grid[np.arange(b - a), rank[a:b]]
+    asc, des = np.zeros(len(baselines)), np.zeros(len(baselines))
+    asc[on_page], des[on_page] = heights
+    return np.maximum(1.0, asc), np.maximum(0.0, des), on_page
 
 
 def line_polygon(
@@ -119,32 +170,203 @@ def line_polygon(
 ) -> TextLine:
     """Build a text line from a baseline and the height channels, its polygon clipped to the frame."""
     params = params or BlockParams()
-    rows, cols = polyline_pixels(baseline.points, maps.shape)
-    if len(rows) == 0:
+    asc, des, on_page = _heights([baseline], maps, params.height_percentile)
+    if not on_page[0]:
         raise ValueError("baseline out of bounds")
-    asc = max(1.0, nearest_rank_percentile(maps.asc[rows, cols], params.height_percentile))
-    des = max(0.0, nearest_rank_percentile(maps.des[rows, cols], params.height_percentile))
-    polygon = clip_to_page(polygon_from_baseline(baseline.points, asc, des), *maps.shape)
-    return TextLine(line_id, baseline, asc, des, polygon)
+    polygon = clip_to_page(polygon_from_baseline(baseline.points, asc[0], des[0]), *maps.shape)
+    return TextLine(line_id, baseline, asc[0], des[0], polygon)
 
 
-def _x_interval(line: TextLine) -> tuple[float, float]:
+class _Fragment(NamedTuple):
+    """A line as plain data while lines cluster and merge.
+
+    ``chains`` are the offset chains (ascender side, descender side) in
+    baseline order, ``chains_by_x`` the same sorted by x (stable), as
+    ``TextLine.chains_by_x``.  ``polygon`` is None for a ring that needs no
+    repair and lies on the page: its polygon is that ring, built only if
+    the fragment comes out of merging.  Any other ring's polygon is built
+    and clipped when the fragment is made.  ``x_extent`` is the polygon's
+    x range either way.
+    """
+
+    id: str
+    baseline: Polyline
+    ascender: float
+    descender: float
+    chains: tuple[np.ndarray, np.ndarray]
+    chains_by_x: tuple[np.ndarray, np.ndarray]
+    polygon: Polygon | None
+    x_extent: tuple[float, float]
+    midpoint: tuple[float, float]
+
+    @property
+    def height(self) -> float:
+        return self.ascender + self.descender
+
+    def text_line(self) -> TextLine:
+        """The output line: the fragment's polygon, or its offset ring."""
+        polygon = self.polygon
+        if polygon is None:  # simple, holds the baseline and lies on the page: checked when made
+            polygon = Polygon(np.vstack([self.chains[0], self.chains[1][::-1]]), check_simple=False)
+        return TextLine(self.id, self.baseline, self.ascender, self.descender, polygon)
+
+
+def _clean_rings(rings: np.ndarray, pts: np.ndarray, h: int, w: int) -> np.ndarray:
+    """Which offset rings ``polygon_from_baseline`` keeps as they are and ``clip_to_page`` leaves alone.
+
+    ``rings`` is (K, m, 2) and ``pts`` the (K, n, 2) baselines.  True only
+    where ``Polygon`` takes the ring without dropping a vertex (consecutive
+    vertices apart, area clearly above zero, no crossing edge pair, each
+    tested as ``Polygon`` tests it), the ring holds the baseline as
+    ``polygon_from_baseline`` tests it, and it lies on the [0, w] x [0, h]
+    page.  A ring whose area is only just above zero reads False and is
+    built the slow way, to the same polygon.
+    """
+    nxt = np.concatenate([rings[:, 1:], rings[:, :1]], axis=1)
+    ok = np.isfinite(rings).all(axis=(1, 2)) & (np.abs(nxt - rings) > _EPS).any(axis=2).all(axis=1)
+    area = (rings[:, :, 0] * nxt[:, :, 1] - rings[:, :, 1] * nxt[:, :, 0]).sum(axis=1) / 2.0
+    ok &= np.abs(area) > 1e-6
+    ok &= (rings.min(axis=1) >= 0).all(axis=1) & (rings[:, :, 0].max(axis=1) <= w) & (rings[:, :, 1].max(axis=1) <= h)
+    idx = np.flatnonzero(ok)
+    per = max(1, _BATCH_ELEMENTS // (rings.shape[1] ** 2))
+    for a in range(0, len(idx), per):
+        k = idx[a : a + per]
+        ring, pk = rings[k], pts[k]
+        nxt = np.concatenate([ring[:, 1:], ring[:, :1]], axis=1)
+        # _contains_within(ring, baseline, 0.45): inside, or within 0.45 px of an edge
+        near = _segment_distance(pk[..., 0, None], pk[..., 1, None], ring[:, None], (nxt - ring)[:, None]).min(axis=2)
+        held = (_points_in_ring(ring, pk) | (near <= 0.45)).all(axis=1)
+        ok[k] = held & ~_ring_crossings(ring).any(axis=(1, 2))
+    return ok
+
+
+def _fragments(ids: list[str], baselines: list[Polyline], asc, des, shape: tuple[int, int]) -> list[_Fragment | None]:
+    """One fragment per line, or None where its polygon leaves no area on the ``shape`` frame.
+
+    Offset chains and ring checks run over all lines at once, the chains
+    over baselines with the same number of points.  A ring that fails the
+    checks is built by ``polygon_from_baseline`` and clipped to the frame,
+    as :func:`line_polygon` builds it.
+    """
+    h, w = shape
+    n_points = np.array([len(bl.points) for bl in baselines], dtype=np.int64)
+    frags: list[_Fragment | None] = [None] * len(baselines)
+    for n in np.unique(n_points):
+        group = np.flatnonzero(n_points == n)
+        pts = np.stack([baselines[i].points for i in group])
+        top, bottom = offset_chains(pts, asc[group, None, None], des[group, None, None])
+        rings = np.concatenate([top, bottom[:, ::-1]], axis=1)
+        clean = _clean_rings(rings, pts, h, w)
+        x_lo, x_hi = rings[..., 0].min(axis=1), rings[..., 0].max(axis=1)
+        top_by_x, bottom_by_x = (
+            np.take_along_axis(c, np.argsort(c[..., 0], axis=1, kind="stable")[..., None], axis=1) for c in (top, bottom)
+        )
+        for k, i in enumerate(group):
+            bl = baselines[i]
+            if clean[k]:
+                polygon = None
+                x_extent = (float(x_lo[k]), float(x_hi[k]))
+            else:
+                try:
+                    polygon = clip_to_page(polygon_from_baseline(bl.points, asc[i], des[i]), h, w)
+                except ValueError:
+                    logger.debug("dropping line %s: no polygon on the page", ids[i])
+                    continue
+                x0, _, x1, _ = polygon.bounds()
+                x_extent = (x0, x1)
+            chains, by_x = (top[k], bottom[k]), (top_by_x[k], bottom_by_x[k])
+            frags[i] = _Fragment(
+                ids[i], bl, float(asc[i]), float(des[i]), chains, by_x, polygon, x_extent, baseline_midpoint(bl)
+            )
+    return frags
+
+
+def _baseline_fragments(
+    baselines: list[Polyline], maps: ChannelMaps, params: BlockParams, prefix: str
+) -> list[tuple[int, _Fragment]]:
+    """(index, fragment) of each baseline with a pixel on the page and a polygon there, id ``<prefix><index>``.
+
+    Per baseline this is :func:`line_polygon`, as plain data: the same
+    heights, and the same polygon once built.
+    """
+    asc, des, on_page = _heights(baselines, maps, params.height_percentile)
+    keep = np.flatnonzero(on_page)
+    if len(keep) < len(baselines):
+        logger.debug("dropping %d baselines out of bounds", len(baselines) - len(keep))
+    ids = [f"{prefix}{i}" for i in keep]
+    frags = _fragments(ids, [baselines[i] for i in keep], asc[keep], des[keep], maps.shape)
+    return [(int(i), f) for i, f in zip(keep, frags) if f is not None]
+
+
+def _x_interval(line) -> tuple[float, float]:
+    if isinstance(line, _Fragment):
+        return line.x_extent
     x0, _, x1, _ = line.polygon.bounds()
     return (x0, x1)
 
 
-def _strip_sum(maps: ChannelMaps, chain: np.ndarray, cols: np.ndarray, thickness: float) -> float:
-    """Sum of the block channel over a thickness-tall band along a polyline sorted by x."""
-    ys = np.interp(cols, chain[:, 0], chain[:, 1])
+def _midpoint(line) -> tuple[float, float]:
+    return line.midpoint if isinstance(line, _Fragment) else baseline_midpoint(line.baseline)
+
+
+def _strip_sums(block: np.ndarray, chains: list[np.ndarray], spans: np.ndarray, thickness: float) -> np.ndarray:
+    """Sums of the block channel over a thickness-tall band along each chain sorted by x.
+
+    Strip k runs along ``chains[k]`` over the pixel columns ``spans[k, 0]``
+    to ``spans[k, 1]``.  Its band rows at each column are those within
+    ``thickness / 2`` of the chain, off-frame rows count 0, and its
+    ``(depth, columns)`` block is laid out row by row, strips back to back
+    (in chunks of about ``_BATCH_ELEMENTS`` elements); each strip's float32
+    sum over its contiguous slice is the sum of that block to the bit.
+    """
+    h = block.shape[0]
     half = thickness / 2.0
-    h = maps.block.shape[0]
+    ncols = spans[:, 1] - spans[:, 0] + 1
+    starts = np.cumsum(ncols) - ncols
+    cols = np.arange(ncols.sum()) - np.repeat(starts - spans[:, 0], ncols)
+    ys = np.concatenate([np.interp(cols[s : s + n], c[:, 0], c[:, 1]) for c, s, n in zip(chains, starts, ncols)])
     r0 = np.ceil(ys - half - 1e-9).astype(np.int64)
     r1 = np.floor(ys + half + 1e-9).astype(np.int64)
-    depth = int((r1 - r0).max()) + 1
-    rows = r0[None, :] + np.arange(depth)[:, None]
-    valid = (rows <= r1[None, :]) & (rows >= 0) & (rows < h)
-    vals = maps.block[np.clip(rows, 0, h - 1), np.broadcast_to(cols, rows.shape)]
-    return float(np.where(valid, vals, 0.0).sum())
+    sizes = (np.maximum.reduceat(r1 - r0, starts) + 1) * ncols
+    ends = np.cumsum(sizes)
+    out = np.zeros(len(chains))
+    a = 0
+    while a < len(chains):
+        b = max(a + 1, int(np.searchsorted(ends, ends[a] - sizes[a] + _BATCH_ELEMENTS, side="right")))
+        size = sizes[a:b]
+        offsets = np.cumsum(size) - size
+        local = np.arange(size.sum()) - np.repeat(offsets, size)  # row * columns + column, in its strip
+        per_row = np.repeat(ncols[a:b], size)
+        at = np.repeat(starts[a:b], size) + local % per_row
+        rows = r0[at] + local // per_row
+        valid = (rows <= r1[at]) & (rows >= 0) & (rows < h)
+        vals = np.where(valid, block[np.clip(rows, 0, h - 1), cols[at]], 0.0)
+        out[a:b] = [vals[o : o + n].sum() for o, n in zip(offsets, size)]
+        a = b
+    return out
+
+
+def _pair_penalties(maps: ChannelMaps, uppers: list, lowers: list, thickness: float) -> tuple[np.ndarray, np.ndarray]:
+    """Both boundary penalties of each (upper, lower) pair, and which pairs share a pixel column on the page.
+
+    The kernel behind :func:`adjacency_penalty`, over any number of pairs
+    in one gather; penalties of pairs that share no column are 0.
+    """
+    xa = np.array([_x_interval(u) for u in uppers]).reshape(-1, 2)
+    xb = np.array([_x_interval(v) for v in lowers]).reshape(-1, 2)
+    lo = np.maximum(xa[:, 0], xb[:, 0])
+    hi = np.minimum(xa[:, 1], xb[:, 1])
+    c0 = np.maximum(np.ceil(lo), 0).astype(np.int64)
+    c1 = np.minimum(np.floor(hi), maps.width - 1).astype(np.int64)
+    shared = (hi - lo > 0) & (c1 >= c0)
+    idx = np.flatnonzero(shared)
+    penalties = np.zeros((len(xa), 2))
+    if len(idx):
+        chains = [uppers[i].chains_by_x[1] for i in idx] + [lowers[i].chains_by_x[0] for i in idx]
+        spans = np.tile(np.stack([c0[idx], c1[idx]], axis=1), (2, 1))
+        sums = _strip_sums(maps.block, chains, spans, thickness)
+        penalties[idx] = sums.reshape(2, -1).T / (c1[idx] - c0[idx] + 1)[:, None]
+    return penalties, shared
 
 
 def adjacency_penalty(
@@ -155,21 +377,15 @@ def adjacency_penalty(
     Two strips span the horizontal intersection of the lines: one along the
     upper line's descender line, one along the lower line's ascender line.
     Each penalty is the strip sum divided by the strip length in pixels.
-    The chains come from each line's ``chains_by_x``, built once per line
-    however many pairs it takes part in.
+    This is the one-pair call of the kernel that :func:`cluster_blocks` runs
+    over all candidate pairs of ``extract_page``'s fragments at once; the
+    chains come from each line's ``chains_by_x``, built once per line.
     """
     params = params or BlockParams()
-    xa = _x_interval(upper)
-    xb = _x_interval(lower)
-    lo = max(xa[0], xb[0])
-    hi = min(xa[1], xb[1])
-    cols = np.arange(int(math.ceil(lo)), int(math.floor(hi)) + 1)
-    cols = cols[(cols >= 0) & (cols < maps.width)]
-    if hi - lo <= 0 or len(cols) == 0:
+    penalties, shared = _pair_penalties(maps, [upper], [lower], params.penalty_area_thickness)
+    if not shared[0]:
         raise ValueError("not neighbours")
-    p_upper = _strip_sum(maps, upper.chains_by_x[1], cols, params.penalty_area_thickness) / len(cols)
-    p_lower = _strip_sum(maps, lower.chains_by_x[0], cols, params.penalty_area_thickness) / len(cols)
-    return (p_upper, p_lower)
+    return (float(penalties[0, 0]), float(penalties[0, 1]))
 
 
 def block_polygon(lines: list[TextLine]) -> Polygon:
@@ -188,7 +404,7 @@ def outline_block(block_id: str, lines: list[TextLine]) -> TextBlock:
 
 
 class LineGroup(NamedTuple):
-    """The lines of one block, before its outline is built."""
+    """The lines of one block, before its outline is built (``extract_page``'s fragments until then)."""
 
     id: str
     lines: list[TextLine]
@@ -202,53 +418,47 @@ def cluster_blocks(
     Pairs that overlap horizontally and whose baseline midpoints are closer
     in y than the taller line's height, found for all pairs at once, are
     edges when both boundary penalties of :func:`adjacency_penalty` pass.
+    The penalties of ``extract_page``'s fragments are computed for all
+    candidate pairs in one gather; ``TextLine``s are tested a pair at a time
+    with :func:`adjacency_penalty`, the one-pair call of the same kernel.
     """
     params = params or BlockParams()
     n = len(lines)
     x0, x1 = np.array([_x_interval(line) for line in lines]).reshape(-1, 2).T
-    mx, y = np.array([baseline_midpoint(line.baseline) for line in lines]).reshape(-1, 2).T
+    mx, y = np.array([_midpoint(line) for line in lines]).reshape(-1, 2).T
     h = np.array([line.height for line in lines])
     near = (np.minimum.outer(x1, x1) - np.maximum.outer(x0, x0) > 0) & (
         np.abs(np.subtract.outer(y, y)) < np.maximum.outer(h, h)
     )
-    edges = []
-    for i, j in zip(*np.nonzero(np.triu(near, 1))):
-        upper, lower = (lines[i], lines[j]) if y[i] <= y[j] else (lines[j], lines[i])
-        try:
-            if max(adjacency_penalty(upper, lower, maps, params)) < params.penalty_threshold:
-                edges.append((i, j))
-        except ValueError:  # no shared pixel column on the page
-            pass
-    src, dst = np.array(edges, dtype=np.intp).reshape(-1, 2).T
-    graph = coo_matrix((np.ones(len(edges)), (src, dst)), shape=(n, n))
+    i, j = np.nonzero(np.triu(near, 1))
+    upper = np.where(y[i] <= y[j], i, j)
+    lower = i + j - upper
+    if all(isinstance(line, _Fragment) for line in lines):
+        penalties, shared = _pair_penalties(
+            maps, [lines[u] for u in upper], [lines[v] for v in lower], params.penalty_area_thickness
+        )
+        passed = shared & (penalties.max(axis=1, initial=-np.inf) < params.penalty_threshold)
+    else:  # perfbench's traced run counts penalty calls and passes at adjacency_penalty
+        passed = np.zeros(len(i), dtype=bool)
+        for k, (u, v) in enumerate(zip(upper, lower)):
+            try:
+                passed[k] = max(adjacency_penalty(lines[u], lines[v], maps, params)) < params.penalty_threshold
+            except ValueError:  # no shared pixel column on the page
+                pass
+    graph = coo_matrix((np.ones(int(passed.sum())), (i[passed], j[passed])), shape=(n, n))
     _, labels = csgraph.connected_components(graph, directed=False)
 
     groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(int(labels[i]), []).append(i)
+    for k in range(n):
+        groups.setdefault(int(labels[k]), []).append(k)
     # top to bottom by the highest baseline midpoint, ties by the leftmost one
     order = sorted(groups.values(), key=lambda idx: (y[idx].min(), mx[idx].min()))
     return [LineGroup(f"b{k}", [lines[i] for i in idx]) for k, idx in enumerate(order)]
 
 
-class _Fragment(NamedTuple):
-    """A line while fragments merge; ``line`` is the original, None once merged."""
-
-    id: str
-    baseline: Polyline
-    ascender: float
-    descender: float
-    line: TextLine | None = None
-
-    def columns(self) -> tuple[float, float, float, float]:
-        """(left x, right x, midpoint y, height): what the merge test reads."""
-        xs = self.baseline.points[:, 0]
-        return (float(xs.min()), float(xs.max()), baseline_midpoint(self.baseline)[1], self.ascender + self.descender)
-
-
-def _merge_pair(a: _Fragment, b: _Fragment, params: BlockParams, max_points: int) -> _Fragment:
-    """Merge two fragments into one with ``a``'s id; ``a`` starts no later than ``b``."""
-    pts = np.vstack([a.baseline.points, b.baseline.points])
+def _merge_pair(a: Polyline, b: Polyline, max_points: int) -> Polyline:
+    """Baseline of two merged lines: both sampled, sorted by x, at uniformly spaced x (``a`` starts no later)."""
+    pts = np.vstack([a.points, b.points])
     order = np.argsort(pts[:, 0], kind="stable")
     px = pts[order, 0]
     py = pts[order, 1]
@@ -258,13 +468,16 @@ def _merge_pair(a: _Fragment, b: _Fragment, params: BlockParams, max_points: int
     n = max(2, min(max_points, int(round(width)) + 1))
     xs = np.linspace(px[0], px[-1], n)
     ys = np.interp(xs, px, py)
-    asc = nearest_rank_percentile([a.ascender, b.ascender], params.height_percentile)
-    des = nearest_rank_percentile([a.descender, b.descender], params.height_percentile)
-    return _Fragment(a.id, Polyline(np.stack([xs, ys], axis=1)), asc, des)
+    return Polyline(np.stack([xs, ys], axis=1))
+
+
+def _x_range(baseline: Polyline) -> tuple[float, float]:
+    xs = baseline.points[:, 0]
+    return (float(xs.min()), float(xs.max()))
 
 
 def _merge_condition(rows: np.ndarray, cols: np.ndarray, params: BlockParams) -> np.ndarray:
-    """Merge test of every row fragment against every column fragment, from their ``columns()``."""
+    """Merge test of every row line against every column line, from their (left x, right x, midpoint y, height)."""
     h_min = np.minimum.outer(rows[:, 3], cols[:, 3])
     dy = np.abs(np.subtract.outer(rows[:, 2], cols[:, 2]))
     gap = np.maximum(0.0, np.maximum.outer(rows[:, 0], cols[:, 0]) - np.minimum.outer(rows[:, 1], cols[:, 1]))
@@ -291,43 +504,50 @@ def merge_block_lines(
 
     The pair test depends only on the two lines, so the condition matrix
     (its upper triangle) is built once; a merge recomputes row and column i
-    and clears j.  Line polygons are built once, for the merged lines that
-    remain, clipped to the frame ``shape`` the lines were built in; a merged
-    line with no area left there is dropped.
+    and clears j.  Lines that merge stay plain data until the fixpoint.
+    Each merged line that remains is then built once, its polygon clipped
+    to the frame ``shape`` the lines were built in, as a ``TextLine`` (or,
+    among ``extract_page``'s fragments, as a fragment); a merged line with
+    no area left there is dropped.  Unmerged lines come out as they went in.
     """
     params = params or BlockParams()
     if len(block.lines) < 2:
         return block
-    frags = [_Fragment(ln.id, ln.baseline, ln.ascender, ln.descender, ln) for ln in block.lines]
-    frags.sort(key=lambda f: (float(f.baseline.points[:, 0].min()), f.id))
-    cols = np.array([f.columns() for f in frags])
+    lines = sorted(block.lines, key=lambda ln: (_x_range(ln.baseline)[0], ln.id))
+    baselines = [ln.baseline for ln in lines]
+    heights = np.array([(ln.ascender, ln.descender) for ln in lines])
+    cols = np.array([(*_x_range(ln.baseline), _midpoint(ln)[1], ln.height) for ln in lines])
+    pick = np.maximum if _rank(params.height_percentile, 2) == 2 else np.minimum  # the percentile of two heights
     cond = np.triu(_merge_condition(cols, cols, params), 1)
-    live = np.ones(len(frags), dtype=bool)
+    live = np.ones(len(lines), dtype=bool)
+    merged = np.zeros(len(lines), dtype=bool)
     while True:
-        i, j = divmod(int(cond.argmax()), len(frags))
+        i, j = divmod(int(cond.argmax()), len(lines))
         if not cond[i, j]:
             break
-        frags[i] = _merge_pair(frags[i], frags[j], params, max_control_points)
-        frags[j] = None
+        baselines[i] = _merge_pair(baselines[i], baselines[j], max_control_points)
+        heights[i] = pick(heights[i], heights[j])
+        merged[i] = True
         live[j] = False
         cond[j] = cond[:, j] = False
-        cols[i] = frags[i].columns()
+        cols[i] = (*_x_range(baselines[i]), baseline_midpoint(baselines[i])[1], heights[i].sum())
         hits = _merge_condition(cols[i : i + 1], cols, params)[0] & live
         cond[:i, i] = hits[:i]
         cond[i, i + 1 :] = hits[i + 1 :]
     if live.all():
         return block
-    lines = []
-    for f in filter(None, frags):  # the slots left live
-        if f.line is not None:
-            lines.append(f.line)
-            continue
-        try:
-            polygon = clip_to_page(polygon_from_baseline(f.baseline.points, f.ascender, f.descender), *shape)
-            lines.append(TextLine(f.id, f.baseline, f.ascender, f.descender, polygon))
-        except ValueError:
-            logger.debug("dropping merged line %s: no polygon on the page", f.id)
-    return LineGroup(block.id, lines)
+    new = np.flatnonzero(merged & live)
+    frags = _fragments([lines[k].id for k in new], [baselines[k] for k in new], *heights[new].T, shape)
+    built = dict(zip(new, frags))
+    out = []
+    for k in np.flatnonzero(live):
+        if not merged[k]:
+            out.append(lines[k])
+        elif built[k] is None:
+            logger.debug("dropping merged line %s: no polygon on the page", lines[k].id)
+        else:
+            out.append(built[k] if isinstance(lines[0], _Fragment) else built[k].text_line())
+    return LineGroup(block.id, out)
 
 
 def extract_page(
@@ -337,17 +557,20 @@ def extract_page(
     merge: bool = True,
     page_id: str = "page",
 ) -> PageLayout:
-    """Full single-orientation pipeline: baselines, line polygons, line groups, one block per group."""
+    """Full single-orientation pipeline: baselines, line groups, one block per group.
+
+    Baselines stay plain-data fragments through clustering and merging;
+    only the lines that come out are built as ``TextLine``s.
+    """
     extract_params = extract_params or ExtractParams()
     block_params = block_params or BlockParams()
-    lines = []
-    for i, bl in enumerate(detect_baselines(maps, extract_params)):
-        try:
-            lines.append(line_polygon(bl, maps, block_params, line_id=f"l{i}"))
-        except ValueError:
-            logger.debug("dropping baseline %d: out of bounds or no polygon on the page", i)
-    groups = cluster_blocks(lines, maps, block_params)
+    frags = [f for _, f in _baseline_fragments(detect_baselines(maps, extract_params), maps, block_params, "l")]
+    groups = cluster_blocks(frags, maps, block_params)
     if merge:
         groups = [merge_block_lines(g, maps.shape, block_params, extract_params.max_control_points) for g in groups]
-    blocks = [outline_block(g.id, g.lines) for g in groups if g.lines]
+    blocks = [
+        outline_block(g.id, [ln.text_line() if isinstance(ln, _Fragment) else ln for ln in g.lines])
+        for g in groups
+        if g.lines
+    ]
     return PageLayout(page_id, maps.height, maps.width, blocks)

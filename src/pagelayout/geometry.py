@@ -118,11 +118,12 @@ def _ring_crossings(ring: np.ndarray) -> np.ndarray:
 
     An edge never crosses itself or a neighbour: a shared vertex has
     orientation exactly 0 against the other edge (``e x 0`` or ``e x e``),
-    so neither edge straddles the other's line.
+    so neither edge straddles the other's line.  A (K, n, 2) stack of rings
+    gives (K, n, n), each ring's matrix to the bit.
     """
-    nxt = _next(ring)
-    s = _straddles(ring[:, None], nxt[:, None], ring[None, :], (nxt - ring)[None, :])
-    return s & s.T
+    nxt = np.concatenate([ring[..., 1:, :], ring[..., :1, :]], axis=-2)
+    s = _straddles(ring[..., :, None, :], nxt[..., :, None, :], ring[..., None, :, :], (nxt - ring)[..., None, :, :])
+    return s & np.swapaxes(s, -1, -2)
 
 
 def _edge_crossings(ring: np.ndarray, k: int) -> np.ndarray:
@@ -133,16 +134,16 @@ def _edge_crossings(ring: np.ndarray, k: int) -> np.ndarray:
 
 
 def _points_in_ring(ring: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Even-odd containment of many points, vectorized over edges."""
-    nxt = _next(ring)
-    x1, y1 = ring[:, 0][None, :], ring[:, 1][None, :]
-    x2, y2 = nxt[:, 0][None, :], nxt[:, 1][None, :]
-    px, py = pts[:, 0][:, None], pts[:, 1][:, None]
+    """Even-odd containment of many points, vectorized over edges; over a (K, ...) stack of rings and point sets too."""
+    nxt = np.concatenate([ring[..., 1:, :], ring[..., :1, :]], axis=-2)
+    x1, y1 = ring[..., None, :, 0], ring[..., None, :, 1]
+    x2, y2 = nxt[..., None, :, 0], nxt[..., None, :, 1]
+    px, py = pts[..., :, None, 0], pts[..., :, None, 1]
     straddle = ((y1 <= py) & (py < y2)) | ((y2 <= py) & (py < y1))
     with np.errstate(divide="ignore", invalid="ignore"):
         x_cross = x1 + (py - y1) / (y2 - y1) * (x2 - x1)
     hits = straddle & (px < x_cross)
-    return hits.sum(axis=1) % 2 == 1
+    return hits.sum(axis=-1) % 2 == 1
 
 
 def _segment_distance(x, y, p, d) -> np.ndarray:
@@ -169,29 +170,33 @@ def _contains_within(polygon: Polygon, pts: np.ndarray, tol: float) -> bool:
 
 
 def _vertex_up_normals(points: np.ndarray) -> np.ndarray:
-    """Per-vertex unit normals pointing to the ascender side.
+    """Per-vertex unit normals pointing to the ascender side; over a (K, n, 2) stack of baselines too.
 
     Interior vertices use the angle bisector of the adjacent segments so
     offsets at kinks do not self-intersect.
     """
-    deltas = np.diff(points, axis=0)
-    lens = np.hypot(deltas[:, 0], deltas[:, 1])
-    units = deltas / lens[:, None]
+    deltas = np.diff(points, axis=-2)
+    lens = np.hypot(deltas[..., 0], deltas[..., 1])
+    units = deltas / lens[..., None]
     tangents = np.empty_like(points)
-    tangents[0] = units[0]
-    tangents[-1] = units[-1]
-    if len(points) > 2:
-        mids = units[:-1] + units[1:]
-        norms = np.hypot(mids[:, 0], mids[:, 1])
+    tangents[..., 0, :] = units[..., 0, :]
+    tangents[..., -1, :] = units[..., -1, :]
+    if points.shape[-2] > 2:
+        mids = units[..., :-1, :] + units[..., 1:, :]
+        norms = np.hypot(mids[..., 0], mids[..., 1])
         bad = norms < 1e-9
-        mids[bad] = units[1:][bad]
-        norms = np.hypot(mids[:, 0], mids[:, 1])
-        tangents[1:-1] = mids / norms[:, None]
-    return np.stack([tangents[:, 1], -tangents[:, 0]], axis=1)
+        mids[bad] = units[..., 1:, :][bad]
+        norms = np.hypot(mids[..., 0], mids[..., 1])
+        tangents[..., 1:-1, :] = mids / norms[..., None]
+    return np.stack([tangents[..., 1], -tangents[..., 0]], axis=-1)
 
 
-def offset_chains(points: np.ndarray, ascender: float, descender: float) -> tuple[np.ndarray, np.ndarray]:
-    """A baseline offset up by ``ascender`` and down by ``descender`` along its per-vertex up-normals."""
+def offset_chains(points: np.ndarray, ascender, descender) -> tuple[np.ndarray, np.ndarray]:
+    """A baseline offset up by ``ascender`` and down by ``descender`` along its per-vertex up-normals.
+
+    Over a (K, n, 2) stack of baselines, with (K, 1, 1) heights, each
+    baseline's chains come out to the bit.
+    """
     normals = _vertex_up_normals(points)
     return points + ascender * normals, points + (-descender) * normals
 

@@ -11,12 +11,15 @@ the gate drops most of the lines it would reject before their polygons
 exist.  A short fragment that an ungated frame builds out of pixels of
 another orientation, and that passes the filter, is no longer detected.
 
-Lines are then extracted independently in each frame.  A candidate's polygon
-is mapped back to the original frame, and the line is kept only when its
-estimated orientation (medians of the orientation field over that polygon)
-agrees with the processing orientation within 45 degrees.  Survivors are
-deduplicated and re-clustered into blocks per processing frame; each output
-line and block is then built once, in the original frame, with its final id.
+Lines are then extracted independently in each frame, each frame's
+candidates built at once by the kernels behind ``extract_page``'s fragments
+(each candidate is a ``TextLine``: the angle filter reads its polygon).
+A candidate's polygon is mapped back to the original frame, and the line
+is kept only when its estimated orientation (medians of the orientation
+field over that polygon) agrees with the processing orientation within 45
+degrees.  Survivors are deduplicated and re-clustered into blocks per
+processing frame; each output line and block is then built once, in the
+original frame, with its final id.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ import numpy as np
 from ._raster import polygon_window
 from .baselines import ExtractParams, _detect
 from .baselines import detect_baselines  # noqa: F401  (perfbench's traced run wraps orient.detect_baselines)
-from .blocks import BlockParams, block_polygon, cluster_blocks, line_polygon, merge_block_lines
+from .blocks import BlockParams, _baseline_fragments, block_polygon, cluster_blocks, merge_block_lines
+from .blocks import line_polygon  # noqa: F401  (perfbench's traced run wraps orient.line_polygon)
 from .channels import ChannelMaps, OrientationMaps
 from .geometry import Polygon, Polyline, clip_to_page, convex_hull, polygon_iou, rotate90_points, rotated_size
 from .layout import LayoutError, PageLayout, TextBlock, TextLine, reading_key
@@ -164,9 +168,9 @@ def detect_multi_orientation(
         frame_size = maps.shape
         back = (4 - t) % 4
         base = np.where(np.rot90(keep, t), maps.base, 0.0)
-        for i, bl in enumerate(_detect(base, maps.end, extract_params)):
+        for i, frag in _baseline_fragments(_detect(base, maps.end, extract_params), maps, block_params, f"t{t}l"):
+            frame_line = frag.text_line()
             try:
-                frame_line = line_polygon(bl, maps, block_params, line_id=f"t{t}l{i}")
                 polygon = rotate_polygon(frame_line.polygon, frame_size, back)
             except ValueError:
                 continue

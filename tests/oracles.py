@@ -851,3 +851,50 @@ def detect_multi_orientation_oracle(maps_by_turn, omaps):
         for k, (outline, lines) in enumerate(placed)
     ]
     return PageLayout("page", size0[0], size0[1], blocks)
+
+
+def fit_spline_oracle(rows: np.ndarray, cols: np.ndarray, max_points: int):
+    """One component's spline fit on its own: uniformly spaced control points, y the mean row per x-bin."""
+    from pagelayout.geometry import Polyline
+
+    minc, maxc = int(cols.min()), int(cols.max())
+    width = maxc - minc + 1
+    n = max(2, min(max_points, width))
+    xs = np.linspace(minc, maxc, n)
+    step = (maxc - minc) / (n - 1)
+    bins = np.clip(np.rint((cols - minc) / step).astype(np.int64), 0, n - 1)
+    counts = np.bincount(bins, minlength=n)
+    sums = np.bincount(bins, weights=rows, minlength=n)
+    ys = np.full(n, np.nan)
+    nz = counts > 0
+    ys[nz] = sums[nz] / counts[nz]
+    if not nz.all():
+        idx = np.nonzero(nz)[0]
+        ys = np.interp(np.arange(n), idx, ys[idx])
+    return Polyline(np.stack([xs, ys], axis=1))
+
+
+def extract_page_oracle(maps, extract_params=None, block_params=None, merge=True, page_id="page"):
+    """``extract_page`` with a validated ``TextLine`` for every detected baseline.
+
+    Each baseline is built by ``line_polygon`` and dropped on ``ValueError``;
+    the lines are then clustered (a pair at a time, as ``cluster_blocks``
+    tests ``TextLine``s), merged and outlined by the library's functions.
+    """
+    from pagelayout.baselines import ExtractParams, detect_baselines
+    from pagelayout.blocks import BlockParams, cluster_blocks, line_polygon, merge_block_lines, outline_block
+    from pagelayout.layout import PageLayout
+
+    extract_params = extract_params or ExtractParams()
+    block_params = block_params or BlockParams()
+    lines = []
+    for i, bl in enumerate(detect_baselines(maps, extract_params)):
+        try:
+            lines.append(line_polygon(bl, maps, block_params, line_id=f"l{i}"))
+        except ValueError:
+            pass
+    groups = cluster_blocks(lines, maps, block_params)
+    if merge:
+        groups = [merge_block_lines(g, maps.shape, block_params, extract_params.max_control_points) for g in groups]
+    blocks = [outline_block(g.id, g.lines) for g in groups if g.lines]
+    return PageLayout(page_id, maps.height, maps.width, blocks)

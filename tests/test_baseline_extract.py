@@ -7,7 +7,7 @@ from pagelayout.channels import ChannelMaps
 from pagelayout.render import RenderParams, render_gt
 
 from conftest import make_block, make_line, make_page
-from oracles import box_mean_oracle, connected_components_oracle, detect_fg_oracle, vertical_nms_oracle
+from oracles import box_mean_oracle, connected_components_oracle, detect_fg_oracle, fit_spline_oracle, vertical_nms_oracle
 
 
 class TestSmooth:
@@ -245,3 +245,22 @@ class TestInPlaceResponse:
         want = vertical_nms(buf, 7)
         assert vertical_nms(buf, 7, out=buf) is buf
         assert np.array_equal(buf, want)
+
+
+class TestFitSpline:
+    def test_batch_equals_each_component_alone(self):
+        """One bincount over (component, bin) keys gives every component's fit to the bit."""
+        rng = np.random.default_rng(21)
+        fitted = 0
+        for _ in range(60):
+            fg = rng.uniform(0, 1, (40, 90)) < rng.uniform(0.02, 0.4)
+            comps = [c for c in connected_components(fg, 5, 9) if np.ptp(c[1]) >= 1]
+            max_points = int(rng.choice([1, 2, 3, 10, 40]))
+            got = pagelayout.baselines._fit_spline(comps, max_points)
+            want = [fit_spline_oracle(r.astype(np.float64), c.astype(np.float64), max_points) for r, c in comps]
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert np.array_equal(g.points, w.points)
+            fitted += len(comps)
+        assert fitted > 300
+        assert pagelayout.baselines._fit_spline([], 10) == []

@@ -10,7 +10,7 @@ import pagelayout.blocks
 import pagelayout.geometry
 import pagelayout.layout
 import pagelayout.orient
-from pagelayout.baselines import ExtractParams
+from pagelayout.baselines import ExtractParams, detect_baselines
 from pagelayout.blocks import (
     BlockParams,
     LineGroup,
@@ -26,7 +26,15 @@ from pagelayout.blocks import (
     polygon_from_baseline,
 )
 from pagelayout.channels import ChannelMaps, OrientationMaps, rotate_maps
-from pagelayout.geometry import Polyline, convex_hull, intersection_area
+from pagelayout.geometry import (
+    Polygon,
+    Polyline,
+    _contains_within,
+    clip_to_page,
+    convex_hull,
+    intersection_area,
+    offset_chains,
+)
 from pagelayout.layout import LayoutError, TextBlock, TextLine, baseline_midpoint, load_layout, save_layout
 from pagelayout.orient import detect_multi_orientation
 from pagelayout.render import render_gt, render_orientation_gt
@@ -677,34 +685,223 @@ class TestEachLineBuiltOnce:
             assert gated < counts["candidates"]
 
     def test_up_normals_per_polygon_and_line_not_per_pair(self, monkeypatch):
+        """Normals are computed once for each line as it is made (a batch of baselines at a time) and once per
+        ``polygon_from_baseline`` call; the penalty strips of all pairs read the chains made then."""
         normals = pagelayout.geometry._vertex_up_normals
         polygon = pagelayout.blocks.polygon_from_baseline
-        penalty = pagelayout.blocks.adjacency_penalty
-        counts = {"normals": 0, "polygons": 0, "pairs": 0}
-        paired = {}  # lines whose chains a penalty read, by identity
+        fragments = pagelayout.blocks._fragments
+        strip_sums = pagelayout.blocks._strip_sums
+        counts = {"normals": 0, "polygons": 0, "made": 0, "strips": 0}
 
         def counted_normals(points):
-            counts["normals"] += 1
+            counts["normals"] += 1 if points.ndim == 2 else len(points)  # one per baseline
             return normals(points)
 
         def counted_polygon(*args):
             counts["polygons"] += 1
             return polygon(*args)
 
-        def counted_penalty(upper, lower, maps, params=None):
-            result = penalty(upper, lower, maps, params)
-            counts["pairs"] += 1
-            paired.update({id(upper): upper, id(lower): lower})
-            return result
+        def counted_fragments(ids, baselines, *args):
+            counts["made"] += len(baselines)
+            return fragments(ids, baselines, *args)
+
+        def counted_strips(block, chains, *args):
+            counts["strips"] += len(chains)
+            return strip_sums(block, chains, *args)
 
         for seed in range(2):
             maps = corrupt(render_gt(generate(SynthConfig(seed=seed))), 0.1, 3, 0.05, rng_seed=seed)
             with monkeypatch.context() as m:
                 m.setattr(pagelayout.geometry, "_vertex_up_normals", counted_normals)
                 m.setattr(pagelayout.blocks, "polygon_from_baseline", counted_polygon)
-                m.setattr(pagelayout.blocks, "adjacency_penalty", counted_penalty)
-                counts.update(normals=0, polygons=0, pairs=0)
-                paired.clear()
+                m.setattr(pagelayout.blocks, "_fragments", counted_fragments)
+                m.setattr(pagelayout.blocks, "_strip_sums", counted_strips)
+                counts.update(dict.fromkeys(counts, 0))
                 extract_page(maps)
-            assert counts["pairs"] > len(paired) > 0
-            assert counts["normals"] == counts["polygons"] + len(paired)
+            assert counts["strips"] > counts["made"] > 0  # more strips than lines: lines take part in many pairs
+            assert counts["normals"] == counts["polygons"] + counts["made"]
+
+    def test_polygons_and_text_lines_only_for_lines_that_come_out(self, monkeypatch):
+        """``extract_page`` builds a ``TextLine`` for each output line only, and a line polygon only for
+        each output line and each ring that needs repair (or clipping): not for fragments merged away."""
+        post_init, polygon_init = TextLine.__post_init__, pagelayout.geometry.Polygon.__init__
+        counts = {"text_lines": 0, "polygons": 0}
+        inside = [0]  # depth inside a call whose polygons are counted as one, or not at all
+
+        def counted_post_init(line):
+            counts["text_lines"] += 1
+            post_init(line)
+
+        def counted_polygon_init(polygon, *args, **kwargs):
+            counts["polygons"] += not inside[0]
+            polygon_init(polygon, *args, **kwargs)
+
+        def as_one(fn, counted):
+            def wrapped(*args):
+                counts["polygons"] += counted and not inside[0]
+                inside[0] += 1
+                try:
+                    return fn(*args)
+                finally:
+                    inside[0] -= 1
+
+            return wrapped
+
+        def needs_repair(pts, asc, des, h, w):
+            top, bottom = offset_chains(pts, asc, des)
+            try:
+                polygon = Polygon(np.vstack([top, bottom[::-1]]))
+            except ValueError:
+                return True
+            x0, y0, x1, y1 = polygon.bounds()
+            return not _contains_within(polygon, pts, 0.45) or min(x0, y0) < 0 or x1 > w or y1 > h
+
+        for seed in range(4):
+            maps = corrupt(render_gt(generate(SynthConfig(seed=seed))), 0.1, 3, 0.05, rng_seed=seed)
+            detected = {f"l{i}": bl for i, bl in enumerate(detect_baselines(maps))}
+            repaired = 0
+            for line_id, bl in detected.items():
+                try:
+                    line = line_polygon(bl, maps)
+                except ValueError as exc:  # out of bounds, or no area left on the page after clipping
+                    repaired += "out of bounds" not in str(exc)
+                    continue
+                repaired += needs_repair(bl.points, line.ascender, line.descender, *maps.shape)
+            with monkeypatch.context() as m:
+                m.setattr(TextLine, "__post_init__", counted_post_init)
+                m.setattr(pagelayout.geometry.Polygon, "__init__", counted_polygon_init)
+                m.setattr(pagelayout.blocks, "polygon_from_baseline", as_one(polygon_from_baseline, True))
+                m.setattr(pagelayout.blocks, "clip_to_page", as_one(pagelayout.blocks.clip_to_page, False))
+                m.setattr(pagelayout.blocks, "outline_block", as_one(outline_block, False))
+                counts.update(text_lines=0, polygons=0)
+                lines = extract_page(maps).lines()
+            merged = [ln for ln in lines if ln.baseline != detected[ln.id]]
+            repaired += sum(needs_repair(ln.baseline.points, ln.ascender, ln.descender, *maps.shape) for ln in merged)
+            assert len(merged) > 0 and len(lines) < len(detected) / 2
+            assert counts["text_lines"] == len(lines)
+            assert counts["polygons"] <= len(lines) + repaired
+
+
+class TestPolygonFromBaseline:
+    def test_simple_ring_that_misses_the_baseline_gives_way(self):
+        """A simple offset ring that does not hold its baseline falls back like a non-simple one."""
+        pts = np.array([[20.41, 45.75], [23.06, 42.87], [25.88, 45.59], [25.91, 43.91]])
+        top, bottom = offset_chains(pts, 7.15, 2.52)
+        ring = Polygon(np.vstack([top, bottom[::-1]]))  # simple
+        assert not _contains_within(ring, pts, 0.5)
+        polygon = polygon_from_baseline(pts, 7.15, 2.52)
+        assert _contains_within(polygon, pts, 0.45)
+        TextLine("l", Polyline(pts), 7.15, 2.52, polygon)
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_every_polygon_holds_its_baseline(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            n = int(rng.integers(2, 7))
+            xs = np.sort(rng.uniform(0, rng.uniform(2, 40), n)) + np.arange(n) * rng.choice([1e-3, 0.05, 1.0])
+            pts = np.stack([xs, rng.uniform(-1, 1, n) * rng.choice([0.5, 3.0, 12.0])], axis=1)
+            polygon = polygon_from_baseline(pts, float(rng.uniform(1, 14)), float(rng.uniform(0, 7)))
+            assert _contains_within(polygon, pts, 0.45)
+
+
+# offset rings whose two chains both rise strictly in x, yet cross each other: Polygon rejects them
+MONOTONE_CROSSING = [
+    (
+        [[2.893981, 34.513559], [9.135417, 31.141808], [13.982485, 25.204993], [15.273939, 34.663208],
+         [16.046531, 35.403142]],
+        3.276,
+        0.6177,
+    ),
+    (
+        [[0.688509, 30.982246], [4.244111, 29.786232], [5.275032, 28.291434], [8.396514, 29.522013],
+         [11.679951, 29.695585], [12.100362, 30.566152]],
+        12.4744,
+        0.0425,
+    ),
+    (
+        [[0.153967, 29.849379], [6.395636, 29.83862], [20.986653, 29.726151], [21.061603, 30.197482],
+         [22.894126, 30.204567]],
+        2.8331,
+        2.4317,
+    ),
+]
+
+
+def fragments_of(lines, shape=(48, 64)):
+    """``extract_page``'s fragments of these lines' baselines and heights, None where nothing is left on the page."""
+    heights = np.array([(ln.ascender, ln.descender) for ln in lines]).reshape(-1, 2)
+    return pagelayout.blocks._fragments([ln.id for ln in lines], [ln.baseline for ln in lines], *heights.T, shape)
+
+
+class TestFragments:
+    """A fragment whose ring needs no repair and lies on the page skips building its polygon until it comes
+    out; its x-extent and polygon are then those ``clip_to_page(polygon_from_baseline(...))`` gives."""
+
+    @staticmethod
+    def check(lines, shape=(48, 64)):
+        frags = fragments_of(lines, shape)
+        for line, frag in zip(lines, frags):
+            pts, a, d = line.baseline.points, line.ascender, line.descender
+            try:
+                want = clip_to_page(polygon_from_baseline(pts, a, d), *shape)
+            except ValueError:
+                assert frag is None
+                continue
+            x0, _, x1, _ = want.bounds()
+            assert frag.x_extent == (x0, x1)
+            if frag.polygon is None:  # an output line of its own ring: a valid TextLine
+                assert np.array_equal(frag.text_line().polygon.ring, want.ring)
+            else:
+                assert np.array_equal(frag.polygon.ring, want.ring)
+            for got, chain in zip(frag.chains_by_x, offset_chains(pts, a, d)):
+                assert np.array_equal(got, chain[np.argsort(chain[:, 0], kind="stable")])
+        return frags
+
+    @staticmethod
+    def crossing_lines(rng, k):
+        """``k`` lines on the monotone crossing baselines, shifted at random."""
+        lines = []
+        for n, (pts, a, d) in enumerate(MONOTONE_CROSSING[:k]):
+            pts = np.array(pts) + rng.uniform(0, 20, 2)
+            lines.append(TextLine(f"c{n}", Polyline(pts), a, d, polygon_from_baseline(pts, a, d)))
+        return lines
+
+    def test_monotone_chains_that_cross_are_repaired(self):
+        frags = self.check(self.crossing_lines(np.random.default_rng(0), 3))
+        assert all(f.polygon is not None for f in frags)
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_fast_path_equals_the_built_polygon(self, seed):
+        rng = np.random.default_rng(seed)
+        lines = [kinked_line(rng, f"l{i}") for i in range(int(rng.integers(1, 40)))]
+        # with some crossing rings among rings of as many points
+        self.check(lines + self.crossing_lines(rng, int(rng.integers(0, 4))))
+
+    def test_both_paths_taken(self):
+        rng = np.random.default_rng(35)
+        frags = [f for f in self.check([kinked_line(rng, f"l{i}") for i in range(400)]) if f is not None]
+        built = sum(f.polygon is not None for f in frags)
+        assert built > 50 and len(frags) - built > 50
+
+
+class TestPairPenalties:
+    """All candidate pairs' penalties in one gather equal one ``adjacency_penalty`` call per pair, bit for bit."""
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1.0, 2.0, 2.5, 3.0, 4.0, 5.0]), st.booleans())
+    def test_batch_equals_one_pair_calls(self, seed, thickness, as_fragments):
+        rng = np.random.default_rng(seed)
+        # kinked lines reach past every page edge, so strips are clipped in rows and in columns
+        lines = [kinked_line(rng, f"l{i}") for i in range(int(rng.integers(2, 12)))]
+        if as_fragments:
+            lines = [f for f in fragments_of(lines) if f is not None]
+        maps = maps_with(block=rng.uniform(0, 1, (48, 64)) * (rng.uniform(0, 1, (48, 64)) < 0.6))
+        params = BlockParams(penalty_area_thickness=thickness)
+        pairs = [(a, b) for a in lines for b in lines if a is not b]
+        uppers, lowers = [a for a, _ in pairs], [b for _, b in pairs]
+        penalties, shared = pagelayout.blocks._pair_penalties(maps, uppers, lowers, thickness)
+        for (a, b), p, ok in zip(pairs, penalties, shared):
+            if ok:
+                assert adjacency_penalty(a, b, maps, params) == (p[0], p[1])
+            else:
+                with pytest.raises(ValueError, match="not neighbours"):
+                    adjacency_penalty(a, b, maps, params)

@@ -8,16 +8,19 @@ layout; reading a damaged ``.pncm`` fails only with ``MapFormatError``.
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from pagelayout.baselines import detect_baselines
-from pagelayout.blocks import extract_page
+from pagelayout.baselines import ExtractParams, detect_baselines
+from pagelayout.blocks import BlockParams, extract_page
 from pagelayout.channels import ChannelMaps, MapFormatError, OrientationMaps, read_maps, rotate_maps, write_maps
 from pagelayout.layout import load_layout, save_layout
 from pagelayout.orient import detect_multi_orientation
+from pagelayout.render import render_gt
+from pagelayout.synth import SynthConfig, corrupt, generate
 
 from conftest import edge_line_maps
+from oracles import extract_page_oracle
 
 # one-row and one-column pages, and small pages
 shapes = st.one_of(
@@ -71,6 +74,46 @@ def test_multi_orientation_is_total_and_round_trips(maps, field):
         angle = np.random.default_rng(seed).uniform(-np.pi, np.pi, maps.shape)
         omaps = OrientationMaps(np.cos(angle), np.sin(angle))
     assert_round_trips(detect_multi_orientation({t: rotate_maps(maps, t) for t in (0, 1, 3)}, omaps))
+
+
+@st.composite
+def noisy_pages(draw):
+    """A small generated page, jittered baselines included, under criterion-2-like corruption."""
+    cfg = SynthConfig(
+        seed=draw(seeds),
+        page_size=(256, 320),
+        columns=(1, 2),
+        lines_per_block=(2, 5),
+        ascender_range=(6.0, draw(st.sampled_from([12.0, 20.0]))),
+        baseline_jitter=draw(st.sampled_from([0.0, 1.0, 2.5])),
+    )
+    try:
+        layout = generate(cfg)
+    except ValueError:  # a rare jittered config leaves no room for a block
+        assume(False)
+    noise = draw(st.sampled_from([0.05, 0.1, 0.2]))
+    return corrupt(render_gt(layout), noise, 3, draw(st.sampled_from([0.02, 0.05, 0.15])), rng_seed=cfg.seed)
+
+
+extract_params = st.builds(
+    ExtractParams,
+    threshold=st.sampled_from([0.2, 0.3, 0.45]),
+    min_length=st.sampled_from([2.0, 5.0, 12.0]),
+    max_control_points=st.sampled_from([2, 3, 10, 25]),
+)
+block_params = st.builds(
+    BlockParams,
+    height_percentile=st.sampled_from([0.0, 50.0, 75.0, 100.0]),
+    penalty_area_thickness=st.sampled_from([1.0, 2.5, 3.0, 5.0]),
+    penalty_threshold=st.sampled_from([0.1, 0.3, 0.6]),
+    merge_y_tolerance=st.sampled_from([0.25, 0.5, 1.0]),
+    merge_x_gap=st.sampled_from([0.5, 1.0, 3.0]),
+)
+
+
+@given(noisy_pages(), st.booleans(), st.one_of(st.none(), extract_params), st.one_of(st.none(), block_params))
+def test_extract_page_equals_the_per_fragment_oracle(maps, merge, ep, bp):
+    assert save_layout(extract_page(maps, ep, bp, merge)) == save_layout(extract_page_oracle(maps, ep, bp, merge))
 
 
 def edge_page(height: int, width: int, seed: int) -> ChannelMaps:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pagelayout._raster import polygon_window, stroke_window
+from pagelayout._raster import polygon_window, polyline_pixels, sample_polyline, stroke_window
 from pagelayout.blocks import polygon_from_baseline
 from pagelayout.channels import OrientationMaps
 from pagelayout.geometry import Polyline
@@ -193,3 +193,23 @@ class TestEstimateLineAngleClipped:
         z = np.zeros(SHAPE, dtype=np.float32)
         with pytest.raises(ValueError, match="empty polygon"):
             estimate_line_angle(line.polygon, OrientationMaps(z, z))
+
+
+class TestPolylinePixels:
+    def test_batch_equals_each_polyline_alone(self):
+        """Pixels of many polylines at once: each polyline's rounded half-pixel samples, in bounds, sorted, once."""
+        rng = np.random.default_rng(40)
+        for _ in range(300):
+            shape = (int(rng.integers(1, 40)), int(rng.integers(1, 40)))
+            lines = []
+            for _ in range(int(rng.integers(0, 6))):
+                n = int(rng.integers(2, 7))
+                pts = rng.uniform(-8, 48, (1, 2)) + np.cumsum(rng.uniform(-1, 1, (n, 2)) * rng.choice([0.3, 2.0, 20.0]), axis=0)
+                lines.append(np.round(pts * 2) / 2 if rng.uniform() < 0.3 else pts)  # samples on pixel boundaries too
+            rows, cols, counts = polyline_pixels(lines, shape)
+            assert len(counts) == len(lines)
+            for pts, a, b in zip(lines, np.cumsum(counts) - counts, np.cumsum(counts)):
+                samples = np.rint(sample_polyline(pts, 0.5)).astype(np.int64)
+                ok = (samples[:, 0] >= 0) & (samples[:, 0] < shape[1]) & (samples[:, 1] >= 0) & (samples[:, 1] < shape[0])
+                want = sorted({(int(r), int(c)) for c, r in samples[ok]})
+                assert list(zip(rows[a:b].tolist(), cols[a:b].tolist())) == want
