@@ -8,14 +8,15 @@ they overlap horizontally, their baselines are vertically closer than the
 taller of the two line heights, and the boundary-channel penalty strips
 between them both stay below threshold.
 
-``extract_page`` keeps every detected baseline as plain data (a
-``_Fragment``: id, baseline, heights, offset chains and x-extent) through
-clustering and merging, and builds a polygon and a ``TextLine`` only for the
-lines that come out.  A fragment whose offset ring needs no repair and lies
-on the page takes its x-extent from its chains; any other ring is built
-where it is detected, exactly as :func:`line_polygon` builds it.  The
-per-fragment and per-pair kernels run as array kernels over all fragments,
-or all candidate pairs, of a page at once.
+Clustering, merging and the penalties work on one line type, plain data (a
+``_Fragment``: id, baseline, heights, offset chains and x-extent); a
+``TextLine`` argument is converted once, where it enters.  Detected
+baselines stay fragments through clustering and merging, and a polygon and a
+``TextLine`` are built only for the lines that come out.  A fragment whose
+offset ring needs no repair and lies on the page takes its x-extent from its
+chains; any other ring is built where it is detected, exactly as
+:func:`line_polygon` builds it.  The per-fragment and per-pair kernels run
+as array kernels over all fragments, or all candidate pairs, at once.
 """
 
 from __future__ import annotations
@@ -168,25 +169,30 @@ def _heights(baselines: list[Polyline], maps: ChannelMaps, pct: float) -> tuple[
 def line_polygon(
     baseline: Polyline, maps: ChannelMaps, params: BlockParams | None = None, line_id: str = "line"
 ) -> TextLine:
-    """Build a text line from a baseline and the height channels, its polygon clipped to the frame."""
+    """Build a text line from a baseline and the height channels, its polygon clipped to the frame.
+
+    The one-baseline call of the kernels behind ``extract_page``'s fragments.
+    """
     params = params or BlockParams()
     asc, des, on_page = _heights([baseline], maps, params.height_percentile)
     if not on_page[0]:
         raise ValueError("baseline out of bounds")
-    polygon = clip_to_page(polygon_from_baseline(baseline.points, asc[0], des[0]), *maps.shape)
-    return TextLine(line_id, baseline, asc[0], des[0], polygon)
+    frag = _fragments([line_id], [baseline], asc, des, maps.shape)[0]
+    if frag is None:
+        raise ValueError("no polygon area on the page")
+    return frag.text_line()
 
 
 class _Fragment(NamedTuple):
     """A line as plain data while lines cluster and merge.
 
     ``chains`` are the offset chains (ascender side, descender side) in
-    baseline order, ``chains_by_x`` the same sorted by x (stable), as
-    ``TextLine.chains_by_x``.  ``polygon`` is None for a ring that needs no
-    repair and lies on the page: its polygon is that ring, built only if
-    the fragment comes out of merging.  Any other ring's polygon is built
-    and clipped when the fragment is made.  ``x_extent`` is the polygon's
-    x range either way.
+    baseline order, ``chains_by_x`` the same sorted by x (stable).
+    ``polygon`` is None while a ring that needs no repair and lies on the
+    page is not built (:meth:`outline` builds it).  Any other ring's
+    polygon is built and clipped when the fragment is made.
+    ``x_extent`` is the polygon's x range either way, and ``midpoint`` the
+    baseline midpoint.
     """
 
     id: str
@@ -203,12 +209,26 @@ class _Fragment(NamedTuple):
     def height(self) -> float:
         return self.ascender + self.descender
 
+    def outline(self) -> Polygon:
+        """The line polygon: ``polygon``, or the offset ring."""
+        if self.polygon is not None:
+            return self.polygon
+        # simple, holds the baseline and lies on the page: checked when made
+        return Polygon(np.vstack([self.chains[0], self.chains[1][::-1]]), check_simple=False)
+
     def text_line(self) -> TextLine:
-        """The output line: the fragment's polygon, or its offset ring."""
-        polygon = self.polygon
-        if polygon is None:  # simple, holds the baseline and lies on the page: checked when made
-            polygon = Polygon(np.vstack([self.chains[0], self.chains[1][::-1]]), check_simple=False)
-        return TextLine(self.id, self.baseline, self.ascender, self.descender, polygon)
+        """The output line on :meth:`outline`."""
+        return TextLine(self.id, self.baseline, self.ascender, self.descender, self.outline())
+
+
+def _fragment_of(line: TextLine | _Fragment, chains: bool = True) -> _Fragment:
+    """``line`` as a fragment: a ``TextLine`` keeps its polygon; its chains, if ``chains``, are its baseline's offsets."""
+    if isinstance(line, _Fragment):
+        return line
+    offsets = offset_chains(line.baseline.points, line.ascender, line.descender) if chains else None
+    by_x = tuple(c[np.argsort(c[:, 0], kind="stable")] for c in offsets) if chains else None
+    x_extent, midpoint = line.polygon.bounds()[::2], baseline_midpoint(line.baseline)
+    return _Fragment(line.id, line.baseline, line.ascender, line.descender, offsets, by_x, line.polygon, x_extent, midpoint)
 
 
 def _clean_rings(rings: np.ndarray, pts: np.ndarray, h: int, w: int) -> np.ndarray:
@@ -298,17 +318,6 @@ def _baseline_fragments(
     return [(int(i), f) for i, f in zip(keep, frags) if f is not None]
 
 
-def _x_interval(line) -> tuple[float, float]:
-    if isinstance(line, _Fragment):
-        return line.x_extent
-    x0, _, x1, _ = line.polygon.bounds()
-    return (x0, x1)
-
-
-def _midpoint(line) -> tuple[float, float]:
-    return line.midpoint if isinstance(line, _Fragment) else baseline_midpoint(line.baseline)
-
-
 def _strip_sums(block: np.ndarray, chains: list[np.ndarray], spans: np.ndarray, thickness: float) -> np.ndarray:
     """Sums of the block channel over a thickness-tall band along each chain sorted by x.
 
@@ -349,11 +358,11 @@ def _strip_sums(block: np.ndarray, chains: list[np.ndarray], spans: np.ndarray, 
 def _pair_penalties(maps: ChannelMaps, uppers: list, lowers: list, thickness: float) -> tuple[np.ndarray, np.ndarray]:
     """Both boundary penalties of each (upper, lower) pair, and which pairs share a pixel column on the page.
 
-    The kernel behind :func:`adjacency_penalty`, over any number of pairs
-    in one gather; penalties of pairs that share no column are 0.
+    The kernel behind :func:`adjacency_penalty`, over any number of fragment
+    pairs in one gather; penalties of pairs that share no column are 0.
     """
-    xa = np.array([_x_interval(u) for u in uppers]).reshape(-1, 2)
-    xb = np.array([_x_interval(v) for v in lowers]).reshape(-1, 2)
+    xa = np.array([u.x_extent for u in uppers]).reshape(-1, 2)
+    xb = np.array([v.x_extent for v in lowers]).reshape(-1, 2)
     lo = np.maximum(xa[:, 0], xb[:, 0])
     hi = np.minimum(xa[:, 1], xb[:, 1])
     c0 = np.maximum(np.ceil(lo), 0).astype(np.int64)
@@ -378,11 +387,11 @@ def adjacency_penalty(
     upper line's descender line, one along the lower line's ascender line.
     Each penalty is the strip sum divided by the strip length in pixels.
     This is the one-pair call of the kernel that :func:`cluster_blocks` runs
-    over all candidate pairs of ``extract_page``'s fragments at once; the
-    chains come from each line's ``chains_by_x``, built once per line.
+    over all candidate pairs at once; each line's offset chains are its
+    fragment's, sorted by x.
     """
     params = params or BlockParams()
-    penalties, shared = _pair_penalties(maps, [upper], [lower], params.penalty_area_thickness)
+    penalties, shared = _pair_penalties(maps, [_fragment_of(upper)], [_fragment_of(lower)], params.penalty_area_thickness)
     if not shared[0]:
         raise ValueError("not neighbours")
     return (float(penalties[0, 0]), float(penalties[0, 1]))
@@ -404,7 +413,7 @@ def outline_block(block_id: str, lines: list[TextLine]) -> TextBlock:
 
 
 class LineGroup(NamedTuple):
-    """The lines of one block, before its outline is built (``extract_page``'s fragments until then)."""
+    """The lines of one block, before its outline is built: fragments, or the ``TextLine``s a caller passed."""
 
     id: str
     lines: list[TextLine]
@@ -418,33 +427,25 @@ def cluster_blocks(
     Pairs that overlap horizontally and whose baseline midpoints are closer
     in y than the taller line's height, found for all pairs at once, are
     edges when both boundary penalties of :func:`adjacency_penalty` pass.
-    The penalties of ``extract_page``'s fragments are computed for all
-    candidate pairs in one gather; ``TextLine``s are tested a pair at a time
-    with :func:`adjacency_penalty`, the one-pair call of the same kernel.
+    The penalties of all candidate pairs are computed in one gather.  The
+    groups hold the lines as given: fragments, or ``TextLine``s.
     """
     params = params or BlockParams()
-    n = len(lines)
-    x0, x1 = np.array([_x_interval(line) for line in lines]).reshape(-1, 2).T
-    mx, y = np.array([_midpoint(line) for line in lines]).reshape(-1, 2).T
-    h = np.array([line.height for line in lines])
+    frags = [_fragment_of(line) for line in lines]
+    n = len(frags)
+    x0, x1 = np.array([f.x_extent for f in frags]).reshape(-1, 2).T
+    mx, y = np.array([f.midpoint for f in frags]).reshape(-1, 2).T
+    h = np.array([f.height for f in frags])
     near = (np.minimum.outer(x1, x1) - np.maximum.outer(x0, x0) > 0) & (
         np.abs(np.subtract.outer(y, y)) < np.maximum.outer(h, h)
     )
     i, j = np.nonzero(np.triu(near, 1))
     upper = np.where(y[i] <= y[j], i, j)
     lower = i + j - upper
-    if all(isinstance(line, _Fragment) for line in lines):
-        penalties, shared = _pair_penalties(
-            maps, [lines[u] for u in upper], [lines[v] for v in lower], params.penalty_area_thickness
-        )
-        passed = shared & (penalties.max(axis=1, initial=-np.inf) < params.penalty_threshold)
-    else:  # perfbench's traced run counts penalty calls and passes at adjacency_penalty
-        passed = np.zeros(len(i), dtype=bool)
-        for k, (u, v) in enumerate(zip(upper, lower)):
-            try:
-                passed[k] = max(adjacency_penalty(lines[u], lines[v], maps, params)) < params.penalty_threshold
-            except ValueError:  # no shared pixel column on the page
-                pass
+    penalties, shared = _pair_penalties(
+        maps, [frags[u] for u in upper], [frags[v] for v in lower], params.penalty_area_thickness
+    )
+    passed = shared & (penalties.max(axis=1, initial=-np.inf) < params.penalty_threshold)
     graph = coo_matrix((np.ones(int(passed.sum())), (i[passed], j[passed])), shape=(n, n))
     _, labels = csgraph.connected_components(graph, directed=False)
 
@@ -506,17 +507,18 @@ def merge_block_lines(
     (its upper triangle) is built once; a merge recomputes row and column i
     and clears j.  Lines that merge stay plain data until the fixpoint.
     Each merged line that remains is then built once, its polygon clipped
-    to the frame ``shape`` the lines were built in, as a ``TextLine`` (or,
-    among ``extract_page``'s fragments, as a fragment); a merged line with
-    no area left there is dropped.  Unmerged lines come out as they went in.
+    to the frame ``shape`` the lines were built in, as a fragment (or, when
+    ``TextLine``s went in, as a ``TextLine``); a merged line with no area
+    left there is dropped.  Unmerged lines come out as they went in.
     """
     params = params or BlockParams()
     if len(block.lines) < 2:
         return block
-    lines = sorted(block.lines, key=lambda ln: (_x_range(ln.baseline)[0], ln.id))
+    given = sorted(block.lines, key=lambda ln: (_x_range(ln.baseline)[0], ln.id))
+    lines = [_fragment_of(ln, chains=False) for ln in given]  # merging reads no chain
     baselines = [ln.baseline for ln in lines]
     heights = np.array([(ln.ascender, ln.descender) for ln in lines])
-    cols = np.array([(*_x_range(ln.baseline), _midpoint(ln)[1], ln.height) for ln in lines])
+    cols = np.array([(*_x_range(ln.baseline), ln.midpoint[1], ln.height) for ln in lines])
     pick = np.maximum if _rank(params.height_percentile, 2) == 2 else np.minimum  # the percentile of two heights
     cond = np.triu(_merge_condition(cols, cols, params), 1)
     live = np.ones(len(lines), dtype=bool)
@@ -542,11 +544,11 @@ def merge_block_lines(
     out = []
     for k in np.flatnonzero(live):
         if not merged[k]:
-            out.append(lines[k])
+            out.append(given[k])
         elif built[k] is None:
             logger.debug("dropping merged line %s: no polygon on the page", lines[k].id)
         else:
-            out.append(built[k] if isinstance(lines[0], _Fragment) else built[k].text_line())
+            out.append(built[k] if isinstance(given[0], _Fragment) else built[k].text_line())
     return LineGroup(block.id, out)
 
 
@@ -569,7 +571,7 @@ def extract_page(
     if merge:
         groups = [merge_block_lines(g, maps.shape, block_params, extract_params.max_control_points) for g in groups]
     blocks = [
-        outline_block(g.id, [ln.text_line() if isinstance(ln, _Fragment) else ln for ln in g.lines])
+        outline_block(g.id, [ln.text_line() for ln in g.lines])
         for g in groups
         if g.lines
     ]

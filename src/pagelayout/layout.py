@@ -15,12 +15,11 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from . import _raster
-from .geometry import Polygon, Polyline, _contains_within, intersection_area, offset_chains
+from .geometry import Polygon, Polyline, _contains_within, intersection_area
 
 _CONTAIN_MIN = 0.95  # fraction of a line polygon its block must cover; a rejected alpha outline gives way to the hull
 # bound on every coordinate, height and size ``load_layout`` accepts: far
@@ -71,17 +70,6 @@ class TextLine:
     @property
     def height(self) -> float:
         return self.ascender + self.descender
-
-    @cached_property
-    def chains_by_x(self) -> tuple[np.ndarray, np.ndarray]:
-        """The ascender and descender chains of the baseline, each sorted by x (stable).
-
-        The same points as the two long sides of the polygon that
-        ``polygon_from_baseline`` builds from this baseline and these
-        heights, before any cleaning; computed on first use, then kept.
-        """
-        chains = offset_chains(self.baseline.points, self.ascender, self.descender)
-        return tuple(c[np.argsort(c[:, 0], kind="stable")] for c in chains)
 
 
 @dataclass(frozen=True)

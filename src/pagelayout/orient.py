@@ -12,14 +12,15 @@ exist.  A short fragment that an ungated frame builds out of pixels of
 another orientation, and that passes the filter, is no longer detected.
 
 Lines are then extracted independently in each frame, each frame's
-candidates built at once by the kernels behind ``extract_page``'s fragments
-(each candidate is a ``TextLine``: the angle filter reads its polygon).
-A candidate's polygon is mapped back to the original frame, and the line
-is kept only when its estimated orientation (medians of the orientation
-field over that polygon) agrees with the processing orientation within 45
-degrees.  Survivors are deduplicated and re-clustered into blocks per
-processing frame; each output line and block is then built once, in the
-original frame, with its final id.
+candidates built at once as the plain-data fragments of ``extract_page``.
+A candidate's polygon (or its offset ring) is mapped back to the original
+frame, and the line is kept only when its estimated orientation (medians of
+the orientation field over that polygon) agrees with the processing
+orientation within 45 degrees.  Survivors are deduplicated and, still as
+fragments, clustered and merged into blocks per processing frame.  Only the
+lines that come out are built as frame ``TextLine``s, for the block outline;
+each output line and block is then built once, in the original frame, with
+its final id.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 from ._raster import polygon_window
 from .baselines import ExtractParams, _detect
 from .baselines import detect_baselines  # noqa: F401  (perfbench's traced run wraps orient.detect_baselines)
-from .blocks import BlockParams, _baseline_fragments, block_polygon, cluster_blocks, merge_block_lines
+from .blocks import BlockParams, _baseline_fragments, _Fragment, block_polygon, cluster_blocks, merge_block_lines
 from .blocks import line_polygon  # noqa: F401  (perfbench's traced run wraps orient.line_polygon)
 from .channels import ChannelMaps, OrientationMaps
 from .geometry import Polygon, Polyline, clip_to_page, convex_hull, polygon_iou, rotate90_points, rotated_size
@@ -114,6 +115,14 @@ def rotate_block(block: TextBlock, size_hw: tuple[int, int], turns: int) -> Text
 
 
 def rotate_layout(layout: PageLayout, turns: int) -> PageLayout:
+    """``layout`` after ``turns`` counterclockwise pixel-centre quarter turns (see ``rotate90_points``).
+
+    Such a turn (x -> w - 1 - x) maps [0, w - 1] x [0, h - 1] onto itself,
+    not the page box [0, w] x [0, h].  Polygons are clipped to the new page,
+    but geometry in the last pixel column or row can map off it, and a
+    baseline there makes ``PageLayout`` raise ``LayoutError``.  A layout
+    inside [0, w - 1] x [0, h - 1] comes back under ``4 - turns`` turns.
+    """
     size = (layout.height, layout.width)
     nh, nw = rotated_size(size, turns)
     return PageLayout(layout.page_id, nh, nw, [rotate_block(b, size, turns) for b in layout.blocks])
@@ -162,29 +171,29 @@ def detect_multi_orientation(
         if maps_by_turn[t].shape != rotated_size(size0, t):
             raise ValueError(f"turn-{t} maps shape is not the rotation of the turn-0 shape")
 
-    candidates = []  # (angdist, turn, index, frame_line, its polygon in the original frame)
+    candidates = []  # (angdist, turn, index, fragment, its polygon in the original frame)
     for t, keep in _orientation_gate(omaps).items():
         maps = maps_by_turn[t]
         frame_size = maps.shape
         back = (4 - t) % 4
         base = np.where(np.rot90(keep, t), maps.base, 0.0)
         for i, frag in _baseline_fragments(_detect(base, maps.end, extract_params), maps, block_params, f"t{t}l"):
-            frame_line = frag.text_line()
+            frag = frag._replace(polygon=frag.outline())  # built once, for the filter and for the frame line
             try:
-                polygon = rotate_polygon(frame_line.polygon, frame_size, back)
+                polygon = rotate_polygon(frag.polygon, frame_size, back)
             except ValueError:
                 continue
             try:
                 est = estimate_line_angle(polygon, omaps)
             except ValueError:
-                logger.debug("line %s covers no orientation pixels; dropped", frame_line.id)
+                logger.debug("line %s covers no orientation pixels; dropped", frag.id)
                 continue
             dist = angular_distance(est.angle_deg, TURN_ANGLES[t])
             if dist <= MAX_ANGLE_DIFF + 1e-9:  # boundary angles are kept
-                candidates.append((dist, t, i, frame_line, polygon))
+                candidates.append((dist, t, i, frag, polygon))
 
     candidates.sort(key=lambda c: (c[0], c[1], c[2]))
-    kept: list[tuple[float, int, int, TextLine, Polygon]] = []
+    kept: list[tuple[float, int, int, _Fragment, Polygon]] = []
     for cand in candidates:
         if (polygon_iou(cand[4], [k[4] for k in kept]) <= DEDUP_IOU).all():
             kept.append(cand)
@@ -197,17 +206,18 @@ def detect_multi_orientation(
         for group in cluster_blocks([c[3] for c in kept if c[1] == t], maps_by_turn[t], block_params):
             if merge:
                 group = merge_block_lines(group, frame_size, block_params, extract_params.max_control_points)
+            frame_lines = [frag.text_line() for frag in group.lines]
             lines = []
-            for line in group.lines:
-                polygon = in_original.get(id(line))
+            for frag, line in zip(group.lines, frame_lines):
+                polygon = in_original.get(id(frag))
                 if polygon is None:  # a merged line
                     polygon = rotate_polygon(line.polygon, frame_size, back)
                 baseline = Polyline(rotate90_points(line.baseline.points, frame_size, back))
                 lines.append(_Placed(reading_key(baseline, line.id), baseline, line.ascender, line.descender, polygon))
             lines.sort(key=lambda p: p.order)
             if lines:  # merging drops a line with no area left on the frame
-                outline = rotate_polygon(block_polygon(group.lines), frame_size, back)
-                placed.append((outline, group.lines, frame_size, back, lines))
+                outline = rotate_polygon(block_polygon(frame_lines), frame_size, back)
+                placed.append((outline, frame_lines, frame_size, back, lines))
 
     placed.sort(key=lambda p: (p[0].bounds()[1], p[0].bounds()[0]))  # top edge, then left edge
     line_ids = (f"l{i}" for i in itertools.count())

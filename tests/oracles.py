@@ -783,13 +783,55 @@ def render_orientation_oracle(layout) -> tuple[np.ndarray, np.ndarray]:
     return ox, oy
 
 
+def line_polygon_oracle(baseline, maps, params, line_id):
+    """A ``TextLine`` for one baseline, its ring always built by ``polygon_from_baseline`` and clipped to the page.
+
+    Raises ``ValueError`` as ``line_polygon`` does: for a baseline with no
+    pixel on the page, and when clipping leaves no polygon area.
+    """
+    from pagelayout.blocks import _heights, polygon_from_baseline
+    from pagelayout.geometry import clip_to_page
+    from pagelayout.layout import TextLine
+
+    asc, des, on_page = _heights([baseline], maps, params.height_percentile)
+    if not on_page[0]:
+        raise ValueError("baseline out of bounds")
+    polygon = clip_to_page(polygon_from_baseline(baseline.points, asc[0], des[0]), *maps.shape)
+    return TextLine(line_id, baseline, asc[0], des[0], polygon)
+
+
+def cluster_blocks_oracle(lines, maps, params):
+    """``cluster_blocks`` one pair at a time (:func:`neighbours_oracle`), closed by :func:`closure_partition_oracle`.
+
+    Groups are ordered top to bottom by their highest baseline midpoint, ties
+    by the leftmost one, and hold their lines in input order.
+    """
+    from pagelayout.blocks import LineGroup
+    from pagelayout.layout import baseline_midpoint
+
+    n = len(lines)
+    x_ints = [line.polygon.bounds()[::2] for line in lines]
+    mids = [baseline_midpoint(line.baseline) for line in lines]
+    adj = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        for j in range(i + 1, n):
+            adj[i, j] = adj[j, i] = neighbours_oracle(
+                lines[i], lines[j], maps, params, x_ints[i], x_ints[j], mids[i][1], mids[j][1]
+            )
+    comps = sorted((sorted(c) for c in closure_partition_oracle(adj)), key=min)
+    comps.sort(key=lambda idx: (min(mids[k][1] for k in idx), min(mids[k][0] for k in idx)))
+    return [LineGroup(f"b{k}", [lines[k] for k in idx]) for k, idx in enumerate(comps)]
+
+
 def detect_multi_orientation_oracle(maps_by_turn, omaps):
     """``detect_multi_orientation`` at default parameters without the orientation gate.
 
-    Every frame detects on its whole ``base`` channel; the orientation field
-    is read only by the per-line angle filter, then the IoU dedup, the
-    per-frame clustering and merging and the placement run as in the library;
-    each block is outlined by :func:`block_polygon_oracle` in its frame.
+    Every frame detects on its whole ``base`` channel, and each baseline is
+    built by :func:`line_polygon_oracle`; the orientation field is read only
+    by the per-line angle filter, then the IoU dedup, the per-frame
+    clustering (a pair at a time, :func:`cluster_blocks_oracle`), merging and
+    placement run as in the library; each block is outlined by
+    :func:`block_polygon_oracle` in its frame.
     Angle estimates go through ``pagelayout.orient.estimate_line_angle`` by
     module attribute, so a test can count the candidates.
     """
@@ -797,7 +839,7 @@ def detect_multi_orientation_oracle(maps_by_turn, omaps):
 
     import pagelayout.orient as orient
     from pagelayout.baselines import ExtractParams, detect_baselines
-    from pagelayout.blocks import BlockParams, cluster_blocks, line_polygon, merge_block_lines
+    from pagelayout.blocks import BlockParams, merge_block_lines
     from pagelayout.geometry import Polyline, clip_to_page, polygon_iou, rotate90_points
     from pagelayout.layout import PageLayout, TextBlock, TextLine, reading_key
 
@@ -809,7 +851,7 @@ def detect_multi_orientation_oracle(maps_by_turn, omaps):
         back = (4 - t) % 4
         for i, bl in enumerate(detect_baselines(maps, extract_params)):
             try:
-                frame_line = line_polygon(bl, maps, block_params, line_id=f"t{t}l{i}")
+                frame_line = line_polygon_oracle(bl, maps, block_params, f"t{t}l{i}")
                 polygon = clip_to_page(orient.rotate_polygon(frame_line.polygon, maps.shape, back), *size0)
             except ValueError:
                 continue
@@ -832,7 +874,7 @@ def detect_multi_orientation_oracle(maps_by_turn, omaps):
     for t in (0, 1, 3):
         frame_size = maps_by_turn[t].shape
         back = (4 - t) % 4
-        for group in cluster_blocks([c[3] for c in kept if c[1] == t], maps_by_turn[t], block_params):
+        for group in cluster_blocks_oracle([c[3] for c in kept if c[1] == t], maps_by_turn[t], block_params):
             group = merge_block_lines(group, frame_size, block_params, extract_params.max_control_points)
             lines = []
             for line in group.lines:
@@ -877,12 +919,13 @@ def fit_spline_oracle(rows: np.ndarray, cols: np.ndarray, max_points: int):
 def extract_page_oracle(maps, extract_params=None, block_params=None, merge=True, page_id="page"):
     """``extract_page`` with a validated ``TextLine`` for every detected baseline.
 
-    Each baseline is built by ``line_polygon`` and dropped on ``ValueError``;
-    the lines are then clustered (a pair at a time, as ``cluster_blocks``
-    tests ``TextLine``s), merged and outlined by the library's functions.
+    Each baseline is built by :func:`line_polygon_oracle` (never the
+    library's no-repair ring test) and dropped on ``ValueError``; the lines
+    are then clustered a pair at a time by :func:`cluster_blocks_oracle`,
+    and merged and outlined by the library's functions.
     """
     from pagelayout.baselines import ExtractParams, detect_baselines
-    from pagelayout.blocks import BlockParams, cluster_blocks, line_polygon, merge_block_lines, outline_block
+    from pagelayout.blocks import BlockParams, merge_block_lines, outline_block
     from pagelayout.layout import PageLayout
 
     extract_params = extract_params or ExtractParams()
@@ -890,10 +933,10 @@ def extract_page_oracle(maps, extract_params=None, block_params=None, merge=True
     lines = []
     for i, bl in enumerate(detect_baselines(maps, extract_params)):
         try:
-            lines.append(line_polygon(bl, maps, block_params, line_id=f"l{i}"))
+            lines.append(line_polygon_oracle(bl, maps, block_params, f"l{i}"))
         except ValueError:
             pass
-    groups = cluster_blocks(lines, maps, block_params)
+    groups = cluster_blocks_oracle(lines, maps, block_params)
     if merge:
         groups = [merge_block_lines(g, maps.shape, block_params, extract_params.max_control_points) for g in groups]
     blocks = [outline_block(g.id, g.lines) for g in groups if g.lines]

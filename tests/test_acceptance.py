@@ -215,8 +215,6 @@ def test_criterion_6_algorithmic_oracles():
         if p == tp / len(pred) and r == tp / len(gt):
             match_ok += 1
 
-    from pagelayout.blocks import _x_interval
-
     cluster_ok = 0
     params = BlockParams()
     for _ in range(500):
@@ -229,7 +227,7 @@ def test_criterion_6_algorithmic_oracles():
         block_ch = (rng.uniform(0, 1, (48, 48)) > 0.85).astype(np.float32)
         z = np.zeros((48, 48), np.float32)
         maps = ChannelMaps(z, z, z, z, block_ch)
-        x_ints = [_x_interval(ln) for ln in lines]
+        x_ints = [ln.polygon.bounds()[::2] for ln in lines]  # (min x, max x)
         mids = [baseline_midpoint(ln.baseline)[1] for ln in lines]
         adj = np.zeros((n, n), dtype=bool)
         for i in range(n):

@@ -10,6 +10,7 @@ import pagelayout.blocks
 import pagelayout.geometry
 import pagelayout.layout
 import pagelayout.orient
+from pagelayout._raster import polyline_pixels
 from pagelayout.baselines import ExtractParams, detect_baselines
 from pagelayout.blocks import (
     BlockParams,
@@ -86,6 +87,32 @@ class TestPercentile:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             nearest_rank_percentile([], 75)
+
+
+class TestHeights:
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 30.0, 50.0, 75.0, 100.0]))
+    def test_each_baseline_takes_the_percentile_of_its_own_pixels(self, seed, pct):
+        """The batched row sort picks, per baseline, ``nearest_rank_percentile`` of that baseline's pixels,
+        also when small chunks split the batch."""
+        rng = np.random.default_rng(seed)
+        # rounded values tie often, and some fall below the ascender's floor of 1
+        maps = maps_with(asc=rng.uniform(0, 12, (48, 64)).round(1), des=rng.uniform(0, 6, (48, 64)).round(1))
+        baselines = []
+        for _ in range(int(rng.integers(1, 30))):  # some reach past the page edges
+            n = int(rng.integers(2, 7))
+            xs = np.sort(rng.uniform(-8, 72, n)) + np.arange(n) * 1e-3
+            baselines.append(Polyline(np.stack([xs, rng.uniform(-4, 52) + rng.uniform(-6, 6, n)], axis=1)))
+        baselines.insert(int(rng.integers(len(baselines) + 1)), Polyline([[500.0, 500.0], [600.0, 500.0]]))
+        for batch in (pagelayout.blocks._BATCH_ELEMENTS, 50):
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(pagelayout.blocks, "_BATCH_ELEMENTS", batch)
+                asc, des, on_page = pagelayout.blocks._heights(baselines, maps, pct)
+            for k, bl in enumerate(baselines):
+                rows, cols, counts = polyline_pixels([bl.points], maps.shape)
+                assert on_page[k] == (counts[0] > 0)
+                if on_page[k]:
+                    assert asc[k] == max(1.0, nearest_rank_percentile(maps.asc[rows, cols], pct))
+                    assert des[k] == max(0.0, nearest_rank_percentile(maps.des[rows, cols], pct))
 
 
 class TestLinePolygon:
@@ -187,12 +214,10 @@ class TestClusterBlocks:
         assert [ln.id for ln in blocks[0].lines] == ["l0", "l1"]
 
     def test_touching_intervals_are_not_neighbours(self):
-        from pagelayout.blocks import _x_interval
-
         left = make_line("l0", 5, 30, 16, 8.0, 3.0)
         for x0, together in ((30, False), (29.5, True)):  # touching, then overlapping by half a pixel
             right = make_line("l1", x0, 55, 20, 8.0, 3.0)
-            args = (_x_interval(left), _x_interval(right), 16.0, 20.0)
+            args = (left.polygon.bounds()[::2], right.polygon.bounds()[::2], 16.0, 20.0)  # (min x, max x)
             assert neighbours_oracle(left, right, maps_with(), BlockParams(), *args) == together
             assert len(cluster_blocks([left, right], maps_with(), BlockParams())) == (1 if together else 2)
 
@@ -233,8 +258,6 @@ class TestClusterBlocks:
                 lines.append(make_line(f"l{i}", x0, x0 + rng.uniform(15, 30), y, 5.0, 2.0))
             block_ch = (rng.uniform(0, 1, (48, 64)) > 0.8).astype(np.float64)
             maps = maps_with(block=block_ch)
-            from pagelayout.blocks import _x_interval
-
             adj = np.zeros((n, n), dtype=bool)
             for i in range(n):
                 for j in range(n):
@@ -244,8 +267,8 @@ class TestClusterBlocks:
                             lines[j],
                             maps,
                             params,
-                            _x_interval(lines[i]),
-                            _x_interval(lines[j]),
+                            lines[i].polygon.bounds()[::2],
+                            lines[j].polygon.bounds()[::2],
                             baseline_midpoint(lines[i].baseline)[1],
                             baseline_midpoint(lines[j].baseline)[1],
                         )
@@ -329,6 +352,30 @@ def fragment_chain_block(rng, n):
         asc, des = float(rng.uniform(4, 9)), float(rng.uniform(1, 4))
         lines.append(TextLine(f"f{k:02d}", Polyline(pts), asc, des, polygon_from_baseline(pts, asc, des)))
     return make_block("b0", lines)
+
+
+class TestTextLineInput:
+    """``TextLine``s become fragments where they enter: clustering and merging them gives the groups,
+    baselines and polygons of the fragments ``extract_page`` builds for them, and ``TextLine``s come out."""
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_same_groups_baselines_and_polygons_as_fragments(self, seed):
+        rng = np.random.default_rng(seed)
+        shape = (160, 420)
+        lines = fragment_chain_block(rng, int(rng.integers(2, 25))).lines
+        frags = fragments_of(lines, shape)
+        # sparse boundary noise splits some groups; most fragments of a row merge
+        maps = maps_with(block=rng.uniform(0, 1, shape) * (rng.uniform(0, 1, shape) < 0.1), h=shape[0], w=shape[1])
+        for got, want in zip(cluster_blocks(lines, maps), cluster_blocks(frags, maps), strict=True):
+            assert got.id == want.id
+            assert [ln.id for ln in got.lines] == [f.id for f in want.lines]
+            assert all(type(ln) is TextLine for ln in got.lines)
+            merged = merge_block_lines(got, shape).lines
+            merged_frags = merge_block_lines(want, shape).lines
+            assert len(merged) == len(merged_frags)
+            for line, frag in zip(merged, merged_frags):
+                assert type(line) is TextLine
+                assert (line.id, line.baseline, line.polygon) == (frag.id, frag.baseline, frag.outline())
 
 
 class TestMergeFixpointOracle:
@@ -684,6 +731,33 @@ class TestEachLineBuiltOnce:
                 detect_multi_orientation_oracle(frames, omaps)
             assert gated < counts["candidates"]
 
+    def test_noisy_multi_orientation_candidates_stay_fragments(self, monkeypatch):
+        """All candidate pairs' penalties come from one gather, not from ``adjacency_penalty`` calls, and each
+        output line is built as a ``TextLine`` twice: in its frame (for the block outline) and as output."""
+        counts = {"TextLine": 0, "penalty": 0}
+        post_init, penalty = TextLine.__post_init__, pagelayout.blocks.adjacency_penalty
+
+        def counted_post_init(line):
+            counts["TextLine"] += 1
+            post_init(line)
+
+        def counted_penalty(*args):
+            counts["penalty"] += 1
+            return penalty(*args)
+
+        for seed in range(4):
+            layout = generate(SynthConfig(seed=seed, vertical_line_prob=0.3))
+            maps = corrupt(render_gt(layout), 0.1, 3, 0.05, rng_seed=seed)
+            frames = {0: maps, 1: rotate_maps(maps, 1), 3: rotate_maps(maps, 3)}
+            with monkeypatch.context() as m:
+                m.setattr(TextLine, "__post_init__", counted_post_init)
+                m.setattr(pagelayout.blocks, "adjacency_penalty", counted_penalty)
+                counts.update(TextLine=0, penalty=0)
+                pred = detect_multi_orientation(frames, render_orientation_gt(layout))
+            assert len(pred.lines()) > 0
+            assert counts["penalty"] == 0
+            assert counts["TextLine"] == 2 * len(pred.lines())
+
     def test_up_normals_per_polygon_and_line_not_per_pair(self, monkeypatch):
         """Normals are computed once for each line as it is made (a batch of baselines at a time) and once per
         ``polygon_from_baseline`` call; the penalty strips of all pairs read the chains made then."""
@@ -897,7 +971,7 @@ class TestPairPenalties:
         maps = maps_with(block=rng.uniform(0, 1, (48, 64)) * (rng.uniform(0, 1, (48, 64)) < 0.6))
         params = BlockParams(penalty_area_thickness=thickness)
         pairs = [(a, b) for a in lines for b in lines if a is not b]
-        uppers, lowers = [a for a, _ in pairs], [b for _, b in pairs]
+        uppers, lowers = ([pagelayout.blocks._fragment_of(ln) for ln in side] for side in zip(*pairs))
         penalties, shared = pagelayout.blocks._pair_penalties(maps, uppers, lowers, thickness)
         for (a, b), p, ok in zip(pairs, penalties, shared):
             if ok:

@@ -6,7 +6,7 @@ import pytest
 from pagelayout.blocks import polygon_from_baseline
 from pagelayout.channels import OrientationMaps, rotate_maps
 from pagelayout.geometry import Polyline, polygon_iou
-from pagelayout.layout import TextLine, save_layout
+from pagelayout.layout import LayoutError, TextLine, save_layout
 from pagelayout.metrics import evaluate
 from pagelayout.orient import (
     _orientation_gate,
@@ -18,7 +18,7 @@ from pagelayout.orient import (
 from pagelayout.render import render_gt, render_orientation_gt
 from pagelayout.synth import SynthConfig, generate
 
-from conftest import make_line
+from conftest import make_block, make_line, make_page
 from oracles import detect_multi_orientation_oracle
 
 
@@ -140,6 +140,22 @@ class TestDetectMultiOrientation:
         scores = evaluate(rot_out, rotate_layout(out, 1))
         assert scores.baseline[2] > 0.999
         assert scores.line[2] == pytest.approx(1.0, abs=1e-6)
+
+    def test_rotate_layout_rejects_a_baseline_in_the_last_pixel_column(self):
+        """Pixel-centre quarter turns map x = 95.5 on a 96 px wide page to -0.5."""
+        page = make_page([make_block("b0", [make_line("l0", 8, 95.5, 20, 10.0, 3.0)])], height=64, width=96)
+        for turns in (1, 2):
+            with pytest.raises(LayoutError, match=r"line 'l0'\.baseline"):
+                rotate_layout(page, turns)
+
+    @pytest.mark.parametrize("turns", [1, 2, 3])
+    def test_rotate_layout_round_trip_inside_pixel_centres(self, simple_page, turns):
+        h, w = simple_page.size
+        for line in simple_page.lines():
+            for points in (line.baseline.points, line.polygon.ring):
+                assert points.min() >= 0 and points[:, 0].max() <= w - 1 and points[:, 1].max() <= h - 1
+        back = rotate_layout(rotate_layout(simple_page, turns), 4 - turns)
+        assert save_layout(back) == save_layout(simple_page)
 
     def test_shape_validation(self):
         layout = generate(SynthConfig(seed=2, page_size=(384, 512)))

@@ -31,6 +31,7 @@ def test_counters_bind_on_traced_pages(simple_page):
         pred = blocks.extract_page(maps)
         metrics.evaluate(pred, simple_page)
         orient.detect_multi_orientation(frames, render.render_orientation_gt(simple_page))
+        blocks.adjacency_penalty(*simple_page.lines(), maps)  # the engine itself scores pairs in one gather
     names = {s.name for s in recorder.spans}
     assert {
         "blocks.cluster_blocks",
