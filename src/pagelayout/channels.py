@@ -125,7 +125,12 @@ def write_maps(maps: ChannelMaps | OrientationMaps) -> bytes:
 
 
 def read_maps(data: bytes) -> ChannelMaps | OrientationMaps:
-    """Parse a PNCM container; the stack the channel names pick checks the values."""
+    """Parse a PNCM container; the stack the channel names pick checks the values.
+
+    The planes are read-only views of ``data`` (of one copy of it, if ``data`` is mutable).
+    """
+    if isinstance(data, (bytearray, memoryview)):
+        data = bytes(data)
     if len(data) < 17 or data[:4] != MAGIC:
         raise MapFormatError("unsupported container: bad magic")
     version, h, w, c = struct.unpack_from("<BIII", data, 4)
@@ -148,7 +153,7 @@ def read_maps(data: bytes) -> ChannelMaps | OrientationMaps:
         except UnicodeDecodeError as exc:
             raise MapFormatError("channel name is not ASCII") from exc
         offset += name_len
-        arr = np.frombuffer(data[offset : offset + plane_bytes], dtype="<f4").reshape(h, w)
+        arr = np.frombuffer(data, dtype="<f4", count=h * w, offset=offset).reshape(h, w)
         offset += plane_bytes
         if name in channels:
             raise MapFormatError(f"repeated channel {name!r}")

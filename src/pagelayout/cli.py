@@ -181,14 +181,14 @@ def _emit(text: str, path: str | None):
 
 def _cmd_synth(args) -> int:
     layout = generate(_from_args(SynthConfig, args))
-    _write_atomic(args.out, save_layout(layout))
-    if args.maps or args.maps_rotated:
+    if args.maps or args.maps_rotated:  # corrupt before writing: bad corruption flags leave no files
         maps = corrupt(render_gt(layout), **{name: getattr(args, dest) for dest, name in _CORRUPT_FLAGS.items()})
-        if args.maps:
-            _write_atomic(args.maps, write_maps(maps))
-        if args.maps_rotated:
-            for turns, tag in ((0, "0"), (1, "90"), (3, "270")):
-                _write_atomic(f"{args.maps_rotated}.{tag}.pncm", write_maps(rotate_maps(maps, turns)))
+    _write_atomic(args.out, save_layout(layout))
+    if args.maps:
+        _write_atomic(args.maps, write_maps(maps))
+    if args.maps_rotated:
+        for turns, tag in ((0, "0"), (1, "90"), (3, "270")):
+            _write_atomic(f"{args.maps_rotated}.{tag}.pncm", write_maps(rotate_maps(maps, turns)))
     if args.orient_maps:
         _write_atomic(args.orient_maps, write_maps(render_orientation_gt(layout)))
     return 0

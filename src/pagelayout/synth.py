@@ -181,6 +181,59 @@ def generate(cfg: SynthConfig) -> PageLayout:
     return PageLayout(f"synth-{cfg.seed}", height, width, blocks)
 
 
+def _tear(base: np.ndarray, dropout_prob: float, rng: Rng) -> np.ndarray:
+    """Column-run dropout of base-channel foreground, in place on ``base``.
+
+    Tears are drawn independently per foreground stroke so different lines
+    do not break at the same columns.  ``dropout_prob`` is the expected
+    fraction of stroke columns torn; runs are 2-6 px wide, so the
+    per-column start probability follows the renewal identity
+    q * E[W] / (q * E[W] + 1 - q) = dropout_prob with E[W] = 4.
+    """
+    mean_w = 4.0
+    q = min(1.0, dropout_prob / (mean_w - (mean_w - 1.0) * dropout_prob))
+    labels, _ = ndimage.label(base > 0.5, structure=np.ones((3, 3), dtype=bool))
+    boxes = ndimage.find_objects(labels)
+    # Each stroke is torn inside its own bounding box, left to right: one
+    # draw per column (start a run when its uniform is below q), and a run
+    # takes its width 2 + u % 5 from the next draw.  A stroke of c columns
+    # uses at most c + 1 draws, so 2 per column covers every walk.
+    first = rng._count
+    draws = rng.u64_array(2 * sum(cols.stop - cols.start for _, cols in boxes))
+    starts = ((draws >> np.uint64(11)).astype(np.float64) * 2.0**-53 < q).tolist()
+    widths = (draws % np.uint64(5) + np.uint64(2)).tolist()
+    i = 0
+    for lab, (rows, cols) in enumerate(boxes, start=1):
+        comp = None
+        c, c_hi = 0, cols.stop - cols.start
+        while c < c_hi:
+            if starts[i]:
+                run = widths[i + 1]
+                if comp is None:
+                    comp, box = labels[rows, cols] == lab, base[rows, cols]
+                box[:, c : c + run][comp[:, c : c + run]] = 0.0
+                i += 2
+                c += run
+            else:
+                i += 1
+                c += 1
+    rng._count = first + i
+    return base
+
+
+def _add_noise(src: np.ndarray, sigma: float, lo: float, hi: float | None, rng: Rng) -> np.ndarray:
+    """float32 ``src + sigma * normal`` clamped to ``[lo, hi]``, one block of Box-Muller draws at a time."""
+    out = np.empty(src.shape, np.float32)
+    flat, dst = src.reshape(-1), out.reshape(-1)
+    for at, noise in rng.normal_blocks(flat.size):
+        k = len(noise)
+        np.multiply(noise, sigma, out=noise)
+        np.add(flat[at : at + k], noise, out=noise)
+        np.clip(noise, lo, hi, out=noise)  # hi None: np.maximum
+        dst[at : at + k] = noise
+    return out
+
+
 def corrupt(
     maps: ChannelMaps,
     noise_sigma: float = 0.0,
@@ -193,40 +246,25 @@ def corrupt(
     Applies, in order: box blur of every channel, column-run dropout of
     base-channel foreground (each column starts a 2-6 px wide dropout run
     with probability ``dropout_prob``), then clamped Gaussian noise on every
-    channel.  Deterministic per ``rng_seed``.
+    channel.  Deterministic per ``rng_seed``.  Raises ``ValueError`` unless
+    ``0 <= dropout_prob <= 1``, ``noise_sigma`` is finite and >= 0 and
+    ``blur_size >= 1``.
     """
+    if not 0.0 <= dropout_prob <= 1.0:
+        raise ValueError(f"dropout_prob must be in [0, 1], got {dropout_prob}")
+    if not (math.isfinite(noise_sigma) and noise_sigma >= 0.0):
+        raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
+    if blur_size < 1:
+        raise ValueError(f"blur_size must be >= 1, got {blur_size}")
     rng = Rng(rng_seed)
-    chans = {name: arr.astype(np.float64) for name, arr in maps.channels().items()}
-    if blur_size > 1:
-        chans = {name: ndimage.uniform_filter(arr, size=blur_size, mode="nearest") for name, arr in chans.items()}
-    h, w = maps.shape
-    if dropout_prob > 0:
-        # Tears are drawn independently per foreground stroke so different
-        # lines do not break at the same columns.  ``dropout_prob`` is the
-        # expected fraction of stroke columns torn; runs are 2-6 px wide, so
-        # the per-column start probability follows the renewal identity
-        # q * E[W] / (q * E[W] + 1 - q) = dropout_prob with E[W] = 4.
-        mean_w = 4.0
-        q = min(1.0, dropout_prob / (mean_w - (mean_w - 1.0) * dropout_prob))
-        fg = chans["base"] > 0.5
-        labels, _ = ndimage.label(fg, structure=np.ones((3, 3), dtype=bool))
-        # Each stroke is torn inside its own bounding box, left to right.
-        for lab, (rows, cols) in enumerate(ndimage.find_objects(labels), start=1):
-            comp = labels[rows, cols] == lab
-            base = chans["base"][rows, cols]
-            c = 0
-            while c < comp.shape[1]:
-                if rng.uniform() < q:
-                    run = rng.randint(2, 6)
-                    base[:, c : c + run][comp[:, c : c + run]] = 0.0
-                    c += run
-                else:
-                    c += 1
-    if noise_sigma > 0:
-        for name in ("base", "end", "asc", "des", "block"):
-            chans[name] = chans[name] + noise_sigma * rng.normal_array(h * w).reshape(h, w)
-        for name in ("base", "end", "block"):
-            chans[name] = np.clip(chans[name], 0.0, 1.0)
-        for name in ("asc", "des"):
-            chans[name] = np.maximum(chans[name], 0.0)
-    return ChannelMaps(**{name: arr.astype(np.float32) for name, arr in chans.items()})
+    out = {}
+    # Channel by channel in field order: base comes first, so its tears take
+    # their draws before the noise fields, which follow in channel order.
+    for name, (lo, hi) in ChannelMaps.RANGES.items():
+        plane = getattr(maps, name)
+        if blur_size > 1:
+            plane = ndimage.uniform_filter(plane, size=blur_size, mode="nearest", output=np.float64)
+        if name == "base" and dropout_prob > 0:
+            plane = _tear(plane if blur_size > 1 else plane.copy(), dropout_prob, rng)
+        out[name] = _add_noise(plane, noise_sigma, lo, hi, rng) if noise_sigma > 0 else plane.astype(np.float32)
+    return ChannelMaps(**out)

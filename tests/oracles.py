@@ -344,6 +344,67 @@ def dropout_oracle(base: np.ndarray, dropout_prob: float, rng_seed: int) -> np.n
     return out.astype(np.float32)
 
 
+def _normal_array_oracle(rng, n: int) -> np.ndarray:
+    """``Rng.normal_array`` as whole-array arithmetic: one arange of counters per half, then one concatenate."""
+    seed, m = rng._seed, (n + 1) // 2
+
+    def uniform(count: int) -> np.ndarray:
+        start = rng._count + 1
+        rng._count += count
+        idx = np.arange(start, start + count, dtype=np.uint64)
+        z = np.uint64(seed) + idx * np.uint64(0x9E3779B97F4A7C15)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        z = z ^ (z >> np.uint64(31))
+        return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+    u1 = np.maximum(uniform(m), 2.0**-53)
+    u2 = uniform(m)
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = 2.0 * np.pi * u2
+    return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
+
+
+def corrupt_oracle(maps, noise_sigma: float = 0.0, blur_size: int = 1, dropout_prob: float = 0.0, rng_seed: int = 0):
+    """``synth.corrupt`` as full-frame float64 arithmetic: blur, then column-run dropout, then clamped noise.
+
+    Every channel is one float64 frame from start to end; the normal draws
+    come from ``_normal_array_oracle`` and the tears from scalar ``Rng`` draws.
+    """
+    from pagelayout._rng import Rng
+    from pagelayout.channels import ChannelMaps
+
+    rng = Rng(rng_seed)
+    chans = {name: arr.astype(np.float64) for name, arr in maps.channels().items()}
+    if blur_size > 1:
+        chans = {name: ndimage.uniform_filter(arr, size=blur_size, mode="nearest") for name, arr in chans.items()}
+    h, w = maps.shape
+    if dropout_prob > 0:
+        mean_w = 4.0
+        q = min(1.0, dropout_prob / (mean_w - (mean_w - 1.0) * dropout_prob))
+        fg = chans["base"] > 0.5
+        labels, _ = ndimage.label(fg, structure=np.ones((3, 3), dtype=bool))
+        for lab, (rows, cols) in enumerate(ndimage.find_objects(labels), start=1):
+            comp = labels[rows, cols] == lab
+            base = chans["base"][rows, cols]
+            c = 0
+            while c < comp.shape[1]:
+                if rng.uniform() < q:
+                    run = rng.randint(2, 6)
+                    base[:, c : c + run][comp[:, c : c + run]] = 0.0
+                    c += run
+                else:
+                    c += 1
+    if noise_sigma > 0:
+        for name in ("base", "end", "asc", "des", "block"):
+            chans[name] = chans[name] + noise_sigma * _normal_array_oracle(rng, h * w).reshape(h, w)
+        for name in ("base", "end", "block"):
+            chans[name] = np.clip(chans[name], 0.0, 1.0)
+        for name in ("asc", "des"):
+            chans[name] = np.maximum(chans[name], 0.0)
+    return ChannelMaps(**{name: arr.astype(np.float32) for name, arr in chans.items()})
+
+
 def _segment_intersection_xs_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     p1 = a
     r = np.roll(a, -1, axis=0) - a

@@ -50,6 +50,16 @@ class TestContainer:
         assert np.array_equal(back.ox, maps.ox)
         assert np.array_equal(back.oy, maps.oy)
 
+    def test_mutable_input_is_copied_once(self):
+        rng = np.random.default_rng(4)
+        maps = random_maps(rng, 5, 7)
+        data = write_maps(maps)
+        for source in (bytearray(data), memoryview(bytearray(data))):
+            back = read_maps(source)
+            source[17:] = bytes(len(data) - 17)  # the planes do not see later writes to the input
+            assert back == maps
+            assert not any(arr.flags.writeable for arr in back.channels().values())
+
     def test_bad_magic(self):
         with pytest.raises(MapFormatError, match="magic"):
             read_maps(b"NOPE" + bytes(20))

@@ -173,6 +173,16 @@ class TestErrors:
         bad.write_bytes(b"garbage")
         assert run(["detect", "--maps", bad, "--out", tmp_path / "p.json"]) == 1
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--dropout", 4 / 3), ("--dropout", 2), ("--dropout", -0.5),
+        ("--noise-sigma", -0.1), ("--noise-sigma", "nan"), ("--noise-sigma", "inf"), ("--blur", 0),
+    ])
+    def test_bad_corruption_flag_exits_1_and_writes_nothing(self, tmp_path, capsys, flag, value):
+        out, maps = tmp_path / "l.json", tmp_path / "m.pncm"
+        assert run(["synth", "--seed", 1, "--out", out, "--maps", maps, flag, repr(value) if isinstance(value, float) else value]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists() and not maps.exists()
+
     def test_batch_multi_orient_rejected(self, tmp_path):
         # the per-page flags would apply page a's 90/270/orientation maps to every page
         in_dir = tmp_path / "in"

@@ -1,8 +1,11 @@
 import hashlib
+import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from pagelayout._rng import BLOCK, Rng
 from pagelayout.channels import write_maps
 from pagelayout.geometry import intersection_area
 from pagelayout.layout import baseline_midpoint, save_layout
@@ -10,7 +13,7 @@ from pagelayout.render import render_gt
 from pagelayout.channels import ChannelMaps
 from pagelayout.synth import SynthConfig, corrupt, generate
 
-from oracles import dropout_oracle
+from oracles import corrupt_oracle, dropout_oracle
 
 
 class TestGenerate:
@@ -100,6 +103,7 @@ class TestCorrupt:
         h3 = hashlib.sha256(write_maps(corrupt(maps, 0.1, 3, 0.05, rng_seed=12))).hexdigest()
         assert h1 == h2
         assert h1 != h3
+        assert h1 == "c5a063fa83baf72741fb47e4917fd86b6bdb84f4c452d2354df9dd06fa6dd49a"  # as whole-frame arithmetic made it
 
     def test_values_stay_in_range(self):
         maps = render_gt(generate(SynthConfig(seed=4, page_size=(320, 384))))
@@ -108,6 +112,93 @@ class TestCorrupt:
             arr = getattr(out, name)
             assert arr.min() >= 0.0 and arr.max() <= 1.0
         assert out.asc.min() >= 0.0 and out.des.min() >= 0.0
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(dropout_prob=4 / 3), dict(dropout_prob=2.0), dict(dropout_prob=-0.5), dict(dropout_prob=float("nan")),
+        dict(noise_sigma=-0.1), dict(noise_sigma=float("nan")), dict(noise_sigma=float("inf")),
+        dict(blur_size=0), dict(blur_size=-3),
+    ])
+    def test_bad_arguments_raise_value_error(self, kwargs):
+        with pytest.raises(ValueError, match="dropout_prob|noise_sigma|blur_size"):
+            corrupt(ChannelMaps.zeros(8, 8), **kwargs)
+
+    def test_peak_memory_stays_below_eight_frames(self):
+        # Whole-frame float64 arithmetic peaked at 37.6 MB here (10.6 float64 frames); five float64 plus five
+        # float32 frames are 26.5 MB.  Block-wise noise keeps one float64 frame and the float32 outputs.
+        maps = render_gt(generate(SynthConfig(seed=0)))
+        h, w = maps.shape
+        tracemalloc.start()
+        try:
+            corrupt(maps, 0.1, 3, 0.05, rng_seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (h, w) == (576, 768)
+        assert peak < 8 * h * w * 8, peak
+
+
+def _random_maps(shape, seed):
+    rng = np.random.default_rng(seed)
+    base = (rng.uniform(size=shape) < 0.4).astype(np.float32)
+    unit = rng.uniform(size=shape).astype(np.float32)
+    height = rng.uniform(0.0, 9.0, size=shape).astype(np.float32)
+    return ChannelMaps(base, unit, height, 0.5 * height, 1.0 - unit)
+
+
+class TestCorruptOracle:
+    """Block-wise corruption gives exactly the planes of whole-frame float64 arithmetic."""
+
+    GRID = list(itertools.product((0.0, 0.3), (1, 5), (0.0, 0.3, 1.0)))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (7, 9), (91, 91), (128, 128), (129, 131)])
+    def test_parameter_grid(self, shape):
+        # odd h*w drops the last sine; 91x91 is under one block of pairs, 128x128 fills one exactly,
+        # and 129x131 (odd) spills into a second
+        maps = _random_maps(shape, shape[0])
+        for k, (sigma, blur, drop) in enumerate(self.GRID):
+            assert corrupt(maps, sigma, blur, drop, rng_seed=k) == corrupt_oracle(maps, sigma, blur, drop, rng_seed=k)
+
+    def test_generated_page_grid(self):
+        maps = render_gt(generate(SynthConfig(seed=3, page_size=(320, 384))))
+        for k, (sigma, blur, drop) in enumerate(self.GRID):
+            assert corrupt(maps, sigma, blur, drop, rng_seed=k) == corrupt_oracle(maps, sigma, blur, drop, rng_seed=k)
+
+    def test_criterion_2_pages(self):
+        for seed in range(16):
+            maps = render_gt(generate(SynthConfig(seed=seed)))
+            assert corrupt(maps, 0.1, 3, 0.05, rng_seed=seed) == corrupt_oracle(maps, 0.1, 3, 0.05, rng_seed=seed)
+
+
+class TestRngArrays:
+    """Array draws take the values and the counter advance of scalar draws, across block edges."""
+
+    SIZES = [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_uniform_array(self, n):
+        rng, ref = Rng(17), Rng(17)
+        rng.u64(), ref.u64()
+        got = rng.uniform_array(n)
+        want = np.array([(ref.u64() >> 11) * 2.0**-53 for _ in range(n)])
+        assert got.tobytes() == want.tobytes()
+        assert rng.u64() == ref.u64()
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_normal_array(self, n):
+        rng, ref = Rng(5), Rng(5)
+        m = (n + 1) // 2
+        u = np.array([(ref.u64() >> 11) * 2.0**-53 for _ in range(2 * m)])
+        r = np.sqrt(-2.0 * np.log(np.maximum(u[:m], 2.0**-53)))
+        theta = 2.0 * np.pi * u[m:]
+        want = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
+        assert rng.normal_array(n).tobytes() == want.tobytes()
+        assert rng.u64() == ref.u64()
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_u64_array(self, n):
+        rng, ref = Rng(2**64 - 1), Rng(2**64 - 1)
+        assert rng.u64_array(n).tolist() == [ref.u64() for _ in range(n)]
+        assert rng.u64() == ref.u64()
 
 
 class TestDropout:
