@@ -129,15 +129,6 @@ class Rng:
             _splitmix(self._seed, first + s, out[s : s + k], t[:k])
         return out
 
-    def uniform_array(self, n: int) -> np.ndarray:
-        first = self._take(n)
-        out = np.empty(n)
-        z, t = np.empty(min(n, BLOCK), np.uint64), np.empty(min(n, BLOCK), np.uint64)
-        for s in range(0, n, BLOCK):
-            k = min(BLOCK, n - s)
-            _uniform(self._seed, first + s, out[s : s + k], z[:k], t[:k])
-        return out
-
     def normal_blocks(self, n: int):
         """``normal_array(n)`` as ``(at, values)`` blocks (see ``_box_muller``); the counters are taken now."""
         return _box_muller(self._seed, self._take(2 * ((n + 1) // 2)), n)

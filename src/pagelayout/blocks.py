@@ -40,13 +40,13 @@ from .geometry import (
     _points_in_ring,
     _ring_crossings,
     _segment_distance,
-    alpha_shape,
     clip_to_page,
     convex_hull,
     offset_chains,
 )
+from .geometry import alpha_shape  # noqa: F401  (perfbench's traced run wraps blocks.alpha_shape)
 from .geometry import intersection_area  # noqa: F401  (perfbench's traced run wraps blocks.intersection_area)
-from .layout import LayoutError, PageLayout, TextBlock, TextLine, baseline_midpoint
+from .layout import PageLayout, TextBlock, TextLine, baseline_midpoint
 
 logger = logging.getLogger("pagelayout.blocks")
 
@@ -398,18 +398,13 @@ def adjacency_penalty(
 
 
 def block_polygon(lines: list[TextLine]) -> Polygon:
-    """Alpha-shape outline of the member line polygon vertices, alpha = 1 / (2 * median line height)."""
-    verts = np.vstack([line.polygon.ring for line in lines])
-    med_h = float(np.median([line.height for line in lines]))
-    return alpha_shape(verts, 1.0 / (2.0 * max(med_h, 1.0)))
+    """Block outline: the convex hull of the member line polygon vertices.
 
-
-def outline_block(block_id: str, lines: list[TextLine]) -> TextBlock:
-    """The block on :func:`block_polygon`, or on the line vertices' convex hull if ``TextBlock`` rejects that."""
-    try:
-        return TextBlock(block_id, lines, block_polygon(lines))
-    except LayoutError:
-        return TextBlock(block_id, lines, convex_hull(np.vstack([line.polygon.ring for line in lines])))
+    The one outline rule, for ground truth and predictions alike.  The hull
+    holds every member polygon, so ``TextBlock``'s coverage check passes on
+    it; ``lines`` may be anything with a ``polygon``.
+    """
+    return convex_hull(np.vstack([line.polygon.ring for line in lines]))
 
 
 class LineGroup(NamedTuple):
@@ -559,7 +554,7 @@ def extract_page(
     merge: bool = True,
     page_id: str = "page",
 ) -> PageLayout:
-    """Full single-orientation pipeline: baselines, line groups, one block per group.
+    """Full single-orientation pipeline: baselines, line groups, one block per group, outlined by :func:`block_polygon`.
 
     Baselines stay plain-data fragments through clustering and merging;
     only the lines that come out are built as ``TextLine``s.
@@ -570,9 +565,9 @@ def extract_page(
     groups = cluster_blocks(frags, maps, block_params)
     if merge:
         groups = [merge_block_lines(g, maps.shape, block_params, extract_params.max_control_points) for g in groups]
-    blocks = [
-        outline_block(g.id, [ln.text_line() for ln in g.lines])
-        for g in groups
-        if g.lines
-    ]
+    blocks = []
+    for g in groups:
+        if g.lines:  # merging drops a line with no area left on the frame
+            lines = [ln.text_line() for ln in g.lines]
+            blocks.append(TextBlock(g.id, lines, block_polygon(lines)))
     return PageLayout(page_id, maps.height, maps.width, blocks)

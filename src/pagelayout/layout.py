@@ -21,7 +21,7 @@ import numpy as np
 from . import _raster
 from .geometry import Polygon, Polyline, _contains_within, intersection_area
 
-_CONTAIN_MIN = 0.95  # fraction of a line polygon its block must cover; a rejected alpha outline gives way to the hull
+_CONTAIN_MIN = 0.95  # fraction of a line polygon its block must cover
 # bound on every coordinate, height and size ``load_layout`` accepts: far
 # beyond any page, and products of two such numbers stay finite in float64
 _MAX_MAGNITUDE = 2**31
@@ -109,8 +109,11 @@ class PageLayout:
     blocks: list[TextBlock] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.height <= 0 or self.width <= 0:
-            raise LayoutError("size", "page dimensions must be positive")
+        for key in ("height", "width"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value <= 0:
+                raise LayoutError("size", f"{key} must be a positive integer, got {value!r}")
+            object.__setattr__(self, key, int(value))
         seen: set[str] = set()
         for block in self.blocks:
             for line in block.lines:
@@ -145,8 +148,8 @@ def _points_to_json(arr: np.ndarray) -> list[list[float]]:
 def save_layout(layout: PageLayout) -> bytes:
     doc = {
         "page_id": layout.page_id,
-        "height": int(layout.height),
-        "width": int(layout.width),
+        "height": layout.height,
+        "width": layout.width,
         "blocks": [
             {
                 "id": block.id,

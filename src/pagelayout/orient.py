@@ -17,10 +17,10 @@ A candidate's polygon (or its offset ring) is mapped back to the original
 frame, and the line is kept only when its estimated orientation (medians of
 the orientation field over that polygon) agrees with the processing
 orientation within 45 degrees.  Survivors are deduplicated and, still as
-fragments, clustered and merged into blocks per processing frame.  Only the
-lines that come out are built as frame ``TextLine``s, for the block outline;
-each output line and block is then built once, in the original frame, with
-its final id.
+fragments, clustered and merged into blocks per processing frame.  The
+lines that come out are mapped back, each block is outlined by the convex
+hull of its mapped-back line polygons, and each output line and block is
+built once, in the original frame, with its final id.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ from .baselines import detect_baselines  # noqa: F401  (perfbench's traced run w
 from .blocks import BlockParams, _baseline_fragments, _Fragment, block_polygon, cluster_blocks, merge_block_lines
 from .blocks import line_polygon  # noqa: F401  (perfbench's traced run wraps orient.line_polygon)
 from .channels import ChannelMaps, OrientationMaps
-from .geometry import Polygon, Polyline, clip_to_page, convex_hull, polygon_iou, rotate90_points, rotated_size
-from .layout import LayoutError, PageLayout, TextBlock, TextLine, reading_key
+from .geometry import Polygon, Polyline, clip_to_page, polygon_iou, rotate90_points, rotated_size
+from .layout import PageLayout, TextBlock, TextLine, reading_key
 
 logger = logging.getLogger("pagelayout.orient")
 
@@ -156,9 +156,9 @@ def detect_multi_orientation(
     than ``MAX_ANGLE_DIFF`` are discarded; retained lines overlapping a
     better-aligned retained line with polygon IoU above ``DEDUP_IOU`` are
     dropped as duplicates.  Blocks are then clustered per processing frame
-    (a block never mixes lines from different frames), outlined there by
-    ``block_polygon``, mapped back and ordered by that outline; a ``TextBlock``
-    that rejects it in the original frame takes the frame hull, mapped back.
+    (a block never mixes lines from different frames); each block's lines are
+    mapped back, outlined there by ``block_polygon`` and the blocks ordered
+    by that outline.
     """
     extract_params = extract_params or ExtractParams()
     block_params = block_params or BlockParams()
@@ -178,9 +178,8 @@ def detect_multi_orientation(
         back = (4 - t) % 4
         base = np.where(np.rot90(keep, t), maps.base, 0.0)
         for i, frag in _baseline_fragments(_detect(base, maps.end, extract_params), maps, block_params, f"t{t}l"):
-            frag = frag._replace(polygon=frag.outline())  # built once, for the filter and for the frame line
             try:
-                polygon = rotate_polygon(frag.polygon, frame_size, back)
+                polygon = rotate_polygon(frag.outline(), frame_size, back)
             except ValueError:
                 continue
             try:
@@ -199,34 +198,28 @@ def detect_multi_orientation(
             kept.append(cand)
     in_original = {id(c[3]): c[4] for c in kept}
 
-    placed = []  # per block: alpha outline mapped back, frame lines, frame size, turns back, lines mapped back
+    placed = []  # per block: its outline and its lines, mapped back
     for t in (0, 1, 3):
         frame_size = maps_by_turn[t].shape
         back = (4 - t) % 4
         for group in cluster_blocks([c[3] for c in kept if c[1] == t], maps_by_turn[t], block_params):
             if merge:
                 group = merge_block_lines(group, frame_size, block_params, extract_params.max_control_points)
-            frame_lines = [frag.text_line() for frag in group.lines]
             lines = []
-            for frag, line in zip(group.lines, frame_lines):
+            for frag in group.lines:
                 polygon = in_original.get(id(frag))
                 if polygon is None:  # a merged line
-                    polygon = rotate_polygon(line.polygon, frame_size, back)
-                baseline = Polyline(rotate90_points(line.baseline.points, frame_size, back))
-                lines.append(_Placed(reading_key(baseline, line.id), baseline, line.ascender, line.descender, polygon))
+                    polygon = rotate_polygon(frag.outline(), frame_size, back)
+                baseline = Polyline(rotate90_points(frag.baseline.points, frame_size, back))
+                lines.append(_Placed(reading_key(baseline, frag.id), baseline, frag.ascender, frag.descender, polygon))
             lines.sort(key=lambda p: p.order)
             if lines:  # merging drops a line with no area left on the frame
-                outline = rotate_polygon(block_polygon(frame_lines), frame_size, back)
-                placed.append((outline, frame_lines, frame_size, back, lines))
+                placed.append((block_polygon(lines), lines))
 
     placed.sort(key=lambda p: (p[0].bounds()[1], p[0].bounds()[0]))  # top edge, then left edge
     line_ids = (f"l{i}" for i in itertools.count())
     blocks = []
-    for k, (outline, group_lines, frame_size, back, lines) in enumerate(placed):
+    for k, (outline, lines) in enumerate(placed):
         block_lines = [TextLine(next(line_ids), p.baseline, p.ascender, p.descender, p.polygon) for p in lines]
-        try:
-            blocks.append(TextBlock(f"b{k}", block_lines, outline))
-        except LayoutError:  # the outline covers too little of a line
-            hull = convex_hull(np.vstack([line.polygon.ring for line in group_lines]))
-            blocks.append(TextBlock(f"b{k}", block_lines, rotate_polygon(hull, frame_size, back)))
+        blocks.append(TextBlock(f"b{k}", block_lines, outline))
     return PageLayout(page_id, size0[0], size0[1], blocks)

@@ -9,7 +9,10 @@ Squaring those two in-block constraints requires ascenders that shrink
 slightly down the block (or descenders that grow); the generator drifts
 ascenders down ~1 px per line and bumps a descender when a pair would
 otherwise have no feasible spacing.  Line extents are ragged with
-alternating insets so block outlines stay clear of the penalty strips.
+alternating insets.  A block's outline is the convex hull of its line
+polygons (``block_polygon``, as in extraction); its sides run through the
+outer line ends, so its rendered boundary stays clear of the penalty strips
+between neighbour lines, which start at the inner ends.
 
 All randomness comes from the splitmix64 stream documented in
 ``pagelayout._rng``, so identical configs reproduce identical layouts on
@@ -25,8 +28,7 @@ import numpy as np
 from scipy import ndimage
 
 from ._rng import Rng
-from .blocks import block_polygon  # noqa: F401  (perfbench's traced run wraps synth.block_polygon)
-from .blocks import outline_block, polygon_from_baseline
+from .blocks import block_polygon, polygon_from_baseline
 from .channels import ChannelMaps
 from .geometry import Polyline
 from .layout import PageLayout, TextBlock, TextLine
@@ -106,7 +108,7 @@ def _make_block(block_id: str, entries, line_start: int) -> TextBlock:
         lines.append(
             TextLine(f"l{line_start + k}", Polyline(pts), asc, des, polygon_from_baseline(pts, asc, des))
         )
-    return outline_block(block_id, lines)
+    return TextBlock(block_id, lines, block_polygon(lines))
 
 
 def generate(cfg: SynthConfig) -> PageLayout:

@@ -18,10 +18,10 @@ settings.load_profile("tier1")
 _HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
 set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
-from pagelayout.blocks import outline_block, polygon_from_baseline
+from pagelayout.blocks import block_polygon, polygon_from_baseline
 from pagelayout.channels import ChannelMaps
 from pagelayout.geometry import Polyline
-from pagelayout.layout import PageLayout, TextLine
+from pagelayout.layout import PageLayout, TextBlock, TextLine
 
 
 def make_line(line_id, x0, x1, y, ascender, descender):
@@ -31,7 +31,7 @@ def make_line(line_id, x0, x1, y, ascender, descender):
 
 
 def make_block(block_id, lines):
-    return outline_block(block_id, lines)
+    return TextBlock(block_id, lines, block_polygon(lines))
 
 
 def edge_line_maps(height, width):

@@ -489,10 +489,10 @@ def block_polygon_oracle(lines):
 
     alpha = 1 / (2 * median line height); falls back to the convex hull when
     the alpha complex disconnects or fails to cover some member line.
-    The library's former rule, kept as the reference: the hull whenever the
-    alpha shape covers less than 0.97 of some line, where
-    ``blocks.outline_block`` takes it only when ``TextBlock``'s 0.95 check
-    rejects the alpha shape.
+    An earlier outline rule of the library, kept as a reference: the hull
+    whenever the alpha shape covers less than 0.97 of some line.  The
+    library's ``block_polygon`` is now the convex hull alone, which holds
+    this outline.
     """
     from pagelayout.geometry import alpha_shape, convex_hull, intersection_area
 
@@ -533,10 +533,10 @@ def merge_fixpoint_oracle(block, params, max_control_points: int):
     Sorts by (left baseline x, id), merges the first pair in row-major order
     whose midpoint |dy| and horizontal gap are within the tolerances times
     the smaller height, and starts over until no pair qualifies.  The scan
-    and the pair merge are written out here, and the block outline is
-    :func:`block_polygon_oracle`'s; lines and polygons come from the
-    library's constructors.
+    and the pair merge are written out here; lines, polygons and the block
+    outline come from the library's constructors and ``block_polygon``.
     """
+    from pagelayout.blocks import block_polygon
     from pagelayout.layout import TextBlock, baseline_midpoint
 
     def x_interval(ln):
@@ -566,7 +566,7 @@ def merge_fixpoint_oracle(block, params, max_control_points: int):
                 break
     if len(lines) == len(block.lines):
         return block
-    return TextBlock(block.id, lines, block_polygon_oracle(lines))
+    return TextBlock(block.id, lines, block_polygon(lines))
 
 
 def polygon_window_oracle(ring, shape):
@@ -891,8 +891,8 @@ def detect_multi_orientation_oracle(maps_by_turn, omaps):
     built by :func:`line_polygon_oracle`; the orientation field is read only
     by the per-line angle filter, then the IoU dedup, the per-frame
     clustering (a pair at a time, :func:`cluster_blocks_oracle`), merging and
-    placement run as in the library; each block is outlined by
-    :func:`block_polygon_oracle` in its frame.
+    placement run as in the library; each block is outlined by the library's
+    ``block_polygon`` over its lines mapped back.
     Angle estimates go through ``pagelayout.orient.estimate_line_angle`` by
     module attribute, so a test can count the candidates.
     """
@@ -900,7 +900,7 @@ def detect_multi_orientation_oracle(maps_by_turn, omaps):
 
     import pagelayout.orient as orient
     from pagelayout.baselines import ExtractParams, detect_baselines
-    from pagelayout.blocks import BlockParams, merge_block_lines
+    from pagelayout.blocks import BlockParams, block_polygon, merge_block_lines
     from pagelayout.geometry import Polyline, clip_to_page, polygon_iou, rotate90_points
     from pagelayout.layout import PageLayout, TextBlock, TextLine, reading_key
 
@@ -943,14 +943,16 @@ def detect_multi_orientation_oracle(maps_by_turn, omaps):
                 if polygon is None:  # a merged line, clipped to its frame; rotate_polygon clips it to the page
                     polygon = orient.rotate_polygon(line.polygon, frame_size, back)
                 baseline = Polyline(rotate90_points(line.baseline.points, frame_size, back))
-                lines.append((reading_key(baseline, line.id), baseline, line.ascender, line.descender, polygon))
-            lines.sort(key=lambda p: p[0])
-            placed.append((orient.rotate_polygon(block_polygon_oracle(group.lines), frame_size, back), lines))
+                lines.append(TextLine(line.id, baseline, line.ascender, line.descender, polygon))
+            lines.sort(key=lambda ln: reading_key(ln.baseline, ln.id))
+            placed.append((block_polygon(lines), lines))
 
     placed.sort(key=lambda p: (p[0].bounds()[1], p[0].bounds()[0]))
     line_ids = (f"l{i}" for i in itertools.count())
     blocks = [
-        TextBlock(f"b{k}", [TextLine(next(line_ids), *p[1:]) for p in lines], outline)
+        TextBlock(
+            f"b{k}", [TextLine(next(line_ids), ln.baseline, ln.ascender, ln.descender, ln.polygon) for ln in lines], outline
+        )
         for k, (outline, lines) in enumerate(placed)
     ]
     return PageLayout("page", size0[0], size0[1], blocks)
@@ -986,8 +988,8 @@ def extract_page_oracle(maps, extract_params=None, block_params=None, merge=True
     and merged and outlined by the library's functions.
     """
     from pagelayout.baselines import ExtractParams, detect_baselines
-    from pagelayout.blocks import BlockParams, merge_block_lines, outline_block
-    from pagelayout.layout import PageLayout
+    from pagelayout.blocks import BlockParams, block_polygon, merge_block_lines
+    from pagelayout.layout import PageLayout, TextBlock
 
     extract_params = extract_params or ExtractParams()
     block_params = block_params or BlockParams()
@@ -1000,5 +1002,5 @@ def extract_page_oracle(maps, extract_params=None, block_params=None, merge=True
     groups = cluster_blocks_oracle(lines, maps, block_params)
     if merge:
         groups = [merge_block_lines(g, maps.shape, block_params, extract_params.max_control_points) for g in groups]
-    blocks = [outline_block(g.id, g.lines) for g in groups if g.lines]
+    blocks = [TextBlock(g.id, g.lines, block_polygon(g.lines)) for g in groups if g.lines]
     return PageLayout(page_id, maps.height, maps.width, blocks)

@@ -123,6 +123,19 @@ class TestValidation:
         doc = {"page_id": "p", "height": 2**31, "width": 2**31, "blocks": []}
         assert load_layout(json.dumps(doc).encode()).size == (2**31, 2**31)
 
+    @pytest.mark.parametrize("height", [10.5, 10.0, np.float32(12), True, 0, -3, "12"])
+    def test_page_size_must_be_a_positive_integer(self, height):
+        """A fractional size would be cut by ``save_layout``'s int, leaving geometry off the loaded page."""
+        block = make_block("b0", [make_line("l0", 2, 18, 8, 2.0, 2.4)])  # the polygon reaches y = 10.4
+        with pytest.raises(LayoutError, match="^size: height must be a positive integer") as err:
+            make_page([block], height=height, width=20)
+        assert err.value.path == "size"
+
+    def test_numpy_integer_page_size_is_an_int(self):
+        page = make_page([make_block("b0", [make_line("l0", 2, 18, 8, 2.0, 2.4)])], height=np.int64(12), width=np.uint16(20))
+        assert type(page.height) is int and type(page.width) is int
+        assert load_layout(save_layout(page)) == page
+
     def test_duplicate_line_ids_rejected(self):
         l0 = make_line("l0", 8, 80, 20, 10.0, 3.0)
         l1 = make_line("l0", 12, 84, 32, 8.5, 4.5)

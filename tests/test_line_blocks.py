@@ -23,7 +23,6 @@ from pagelayout.blocks import (
     line_polygon,
     merge_block_lines,
     nearest_rank_percentile,
-    outline_block,
     polygon_from_baseline,
 )
 from pagelayout.channels import ChannelMaps, OrientationMaps, rotate_maps
@@ -476,13 +475,18 @@ class TestExtractPage:
             assert [ln.baseline.points[0, 1] for ln in pred.lines()] == ([20.0] if with_row_below else [])
 
 
+def hull_of_lines(block):
+    """The outline rule, restated: the convex hull of the block's line polygon vertices."""
+    return convex_hull(np.vstack([ln.polygon.ring for ln in block.lines]))
+
+
 class TestEachBlockBuiltOnce:
-    """Each output block is outlined once, and its coverage is computed only by ``TextBlock``'s check:
-    one pass per construction, accepted or rejected, and none in the ``blocks`` module."""
+    """Each output block is outlined once, by ``block_polygon``, and ``TextBlock`` accepts that outline:
+    one coverage pass per block, none in the ``blocks`` module and no rejected construction."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        calls = dict.fromkeys(["block_polygon", "accepted", "rejected", "blocks_passes", "layout_passes"], 0)
+        calls = dict.fromkeys(["block_polygon", "rejected", "blocks_passes", "layout_passes"], 0)
         block_polygon = pagelayout.blocks.block_polygon
         post_init = TextBlock.__post_init__
 
@@ -496,7 +500,6 @@ class TestEachBlockBuiltOnce:
             except LayoutError:
                 calls["rejected"] += 1
                 raise
-            calls["accepted"] += 1
 
         def counted_passes(key, fn):
             def wrapped(*args):
@@ -505,39 +508,40 @@ class TestEachBlockBuiltOnce:
 
             return wrapped
 
-        monkeypatch.setattr(pagelayout.blocks, "block_polygon", counted_block_polygon)
+        for module in (pagelayout.blocks, pagelayout.orient):
+            monkeypatch.setattr(module, "block_polygon", counted_block_polygon)
         monkeypatch.setattr(TextBlock, "__post_init__", counted_post_init)
         for module, key in ((pagelayout.blocks, "blocks_passes"), (pagelayout.layout, "layout_passes")):
             monkeypatch.setattr(module, "intersection_area", counted_passes(key, module.intersection_area))
         return calls
 
     @staticmethod
-    def assert_one_rule(counts, pred):
-        assert counts["accepted"] == len(pred.blocks)
-        assert counts["blocks_passes"] == 0
-        assert counts["layout_passes"] == counts["accepted"] + counts["rejected"]
+    def assert_once_per_block(counts, pred):
+        assert pred.blocks
+        n = len(pred.blocks)
+        assert counts == {"block_polygon": n, "rejected": 0, "blocks_passes": 0, "layout_passes": n}
+        for block in pred.blocks:
+            assert np.array_equal(block.polygon.ring, hull_of_lines(block).ring)
 
     def test_noisy_pages(self, counts):
-        merges = rejected = 0
+        merges = 0
         for seed in range(4):
             maps = corrupt(render_gt(generate(SynthConfig(seed=seed))), 0.1, 3, 0.05, rng_seed=seed)
             counts.update(dict.fromkeys(counts, 0))
             pred = extract_page(maps)
-            assert counts["block_polygon"] == len(pred.blocks)
-            self.assert_one_rule(counts, pred)
-            rejected += counts["rejected"]
+            self.assert_once_per_block(counts, pred)
             merges += len(extract_page(maps, merge=False).lines()) - len(pred.lines())
-        assert merges > 0 and rejected > 0  # both the merge and the hull fallback ran
+        assert merges > 0
 
     def test_multi_orientation_pages(self, counts):
         for seed in range(2):
             layout = generate(SynthConfig(seed=seed, vertical_line_prob=0.3))
+            assert all(np.array_equal(b.polygon.ring, hull_of_lines(b).ring) for b in layout.blocks)
             maps, omaps = render_gt(layout), render_orientation_gt(layout)
             frames = {0: maps, 1: rotate_maps(maps, 1), 3: rotate_maps(maps, 3)}
             counts.update(dict.fromkeys(counts, 0))
             pred = detect_multi_orientation(frames, omaps)
-            assert pred.blocks
-            self.assert_one_rule(counts, pred)
+            self.assert_once_per_block(counts, pred)
 
 
 def kinked_line(rng, line_id, h=48, w=64):
@@ -568,42 +572,44 @@ def jittered_block_lines(rng):
     return lines
 
 
-class TestOutlineBlock:
-    """``outline_block`` keeps the alpha shape whenever ``TextBlock``'s 0.95 check accepts it, where
-    the former rule (``block_polygon_oracle``) took the hull below 0.97: they differ only in between."""
+def edge_line(rng, line_id, h=48, w=64):
+    """A line on a multi-point baseline inside the page whose polygon reaches past an edge, clipped to it."""
+    n = int(rng.integers(2, 6))
+    x0 = rng.uniform(0, w - 12)
+    xs = np.linspace(x0, rng.uniform(x0 + 4, w), n)
+    asc, des = float(rng.uniform(3, 12)), float(rng.uniform(0, 5))
+    y = rng.choice([rng.uniform(0.5, 3), rng.uniform(h - 3, h - 0.5)])
+    ys = np.clip(y + rng.uniform(-0.4, 0.4, n), 0, h)
+    pts = np.stack([xs, ys], axis=1)
+    return TextLine(line_id, Polyline(pts), asc, des, clip_to_page(polygon_from_baseline(pts, asc, des), h, w))
 
-    @staticmethod
-    def in_band(lines):
-        """The alpha shape passes the 0.95 check but covers less than 0.97 of some line."""
-        covered = intersection_area(block_polygon(lines), [ln.polygon for ln in lines])
+
+class TestBlockPolygon:
+    """``block_polygon`` is the convex hull of the member line polygons: it covers each of them."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 4), st.integers(0, 4))
+    def test_covers_every_line(self, seed, n_kinked, n_edge):
+        rng = np.random.default_rng(seed)
+        lines = jittered_block_lines(rng)
+        lines += [kinked_line(rng, f"k{i}") for i in range(n_kinked)]
+        lines += [edge_line(rng, f"e{i}") for i in range(n_edge)]
+        outline = block_polygon(lines)
         areas = np.array([ln.polygon.area for ln in lines])
-        return bool((covered >= (0.95 - 1e-9) * areas).all() and (covered < 0.97 * areas).any())
+        assert (intersection_area(outline, [ln.polygon for ln in lines]) >= (1 - 1e-9) * areas).all()
+        TextBlock("b0", lines, outline)
 
-    def test_matches_former_rule_outside_the_band(self):
-        hulls = 0
+    def test_contains_former_outline(self):
+        """The hull holds the former alpha-then-hull outline (``block_polygon_oracle``), and is that outline
+        whenever the former rule fell back to the hull."""
+        concave = 0
         for seed in range(400):
             lines = jittered_block_lines(np.random.default_rng(seed))
-            got = outline_block("b0", lines).polygon.ring
-            want = block_polygon(lines) if self.in_band(lines) else block_polygon_oracle(lines)
-            assert np.array_equal(got, want.ring), seed
-            hulls += not np.array_equal(got, block_polygon(lines).ring)
-        assert hulls > 100  # the hull fallback is exercised
-
-    @pytest.mark.parametrize("seed", [440, 2230])
-    def test_band_keeps_the_alpha_shape(self, seed):
-        lines = jittered_block_lines(np.random.default_rng(seed))
-        assert self.in_band(lines)
-        alpha = block_polygon(lines)
-        assert np.array_equal(outline_block("b0", lines).polygon.ring, alpha.ring)
-        assert not np.array_equal(block_polygon_oracle(lines).ring, alpha.ring)
-
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 8))
-    def test_total_on_kinked_lines(self, seed, n):
-        rng = np.random.default_rng(seed)
-        lines = [kinked_line(rng, f"l{i}") for i in range(n)]
-        got = outline_block("b0", lines).polygon.ring
-        hull = convex_hull(np.vstack([ln.polygon.ring for ln in lines]))
-        assert np.array_equal(got, block_polygon(lines).ring) or np.array_equal(got, hull.ring)
+            hull, former = block_polygon(lines), block_polygon_oracle(lines)
+            assert intersection_area(hull, [former])[0] >= (1 - 1e-9) * former.area, seed
+            concave += former.area < hull.area - 1e-9
+            if former.area >= hull.area - 1e-9:
+                assert np.array_equal(np.unique(former.ring, axis=0), np.unique(hull.ring, axis=0)), seed
+        assert concave > 50  # the former rule kept a concave outline on many blocks
 
 
 class TestDropSelfIntersectionsOracle:
@@ -733,7 +739,7 @@ class TestEachLineBuiltOnce:
 
     def test_noisy_multi_orientation_candidates_stay_fragments(self, monkeypatch):
         """All candidate pairs' penalties come from one gather, not from ``adjacency_penalty`` calls, and each
-        output line is built as a ``TextLine`` twice: in its frame (for the block outline) and as output."""
+        output line is built as a ``TextLine`` once, as output: the block outline reads the mapped-back polygons."""
         counts = {"TextLine": 0, "penalty": 0}
         post_init, penalty = TextLine.__post_init__, pagelayout.blocks.adjacency_penalty
 
@@ -756,7 +762,7 @@ class TestEachLineBuiltOnce:
                 pred = detect_multi_orientation(frames, render_orientation_gt(layout))
             assert len(pred.lines()) > 0
             assert counts["penalty"] == 0
-            assert counts["TextLine"] == 2 * len(pred.lines())
+            assert counts["TextLine"] == len(pred.lines())
 
     def test_up_normals_per_polygon_and_line_not_per_pair(self, monkeypatch):
         """Normals are computed once for each line as it is made (a batch of baselines at a time) and once per
@@ -846,7 +852,7 @@ class TestEachLineBuiltOnce:
                 m.setattr(pagelayout.geometry.Polygon, "__init__", counted_polygon_init)
                 m.setattr(pagelayout.blocks, "polygon_from_baseline", as_one(polygon_from_baseline, True))
                 m.setattr(pagelayout.blocks, "clip_to_page", as_one(pagelayout.blocks.clip_to_page, False))
-                m.setattr(pagelayout.blocks, "outline_block", as_one(outline_block, False))
+                m.setattr(pagelayout.blocks, "block_polygon", as_one(block_polygon, False))
                 counts.update(text_lines=0, polygons=0)
                 lines = extract_page(maps).lines()
             merged = [ln for ln in lines if ln.baseline != detected[ln.id]]
