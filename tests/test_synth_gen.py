@@ -175,6 +175,16 @@ class TestRngArrays:
     SIZES = [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]
 
     @pytest.mark.parametrize("n", SIZES)
+    def test_uniform_array(self, n):
+        """The top 53 bits of array draws are the uniform doubles of scalar ``uniform()``."""
+        rng, ref = Rng(17), Rng(17)
+        rng.u64(), ref.u64()
+        draws = rng.u64_array(n)
+        want = np.array([ref.uniform() for _ in range(n)])
+        assert ((draws >> np.uint64(11)) * 2.0**-53).tobytes() == want.tobytes()
+        assert rng.u64() == ref.u64()
+
+    @pytest.mark.parametrize("n", SIZES)
     def test_normal_array(self, n):
         rng, ref = Rng(5), Rng(5)
         m = (n + 1) // 2
@@ -187,13 +197,8 @@ class TestRngArrays:
 
     @pytest.mark.parametrize("n", SIZES)
     def test_u64_array(self, n):
-        """The draws, and their top 53 bits as the uniform doubles of scalar ``uniform()``."""
         rng, ref = Rng(2**64 - 1), Rng(2**64 - 1)
         assert rng.u64_array(n).tolist() == [ref.u64() for _ in range(n)]
-        assert rng.u64() == ref.u64()
-        draws = rng.u64_array(n)
-        want = np.array([ref.uniform() for _ in range(n)])
-        assert ((draws >> np.uint64(11)) * 2.0**-53).tobytes() == want.tobytes()
         assert rng.u64() == ref.u64()
 
 
