@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import _next, _segment_distance
+from .geometry import _BATCH_ELEMENTS, _chunks, _next, _pad_rows, _segment_distance
 
 
 Window = tuple[slice, slice]
@@ -96,17 +96,60 @@ def cumulative_lengths(points: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(d)])
 
 
+def sample_polylines(polylines: list[np.ndarray], step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Points along each polyline at arc-length intervals, endpoints included:
+    ``(samples, counts)``, the (N, 2) samples polyline by polyline and the count of each.
+
+    Polyline k's samples are ``np.interp`` of its points over its own
+    cumulative lengths at ``np.arange(0.0, total, step)``, and at ``total``
+    unless the last of those lies within 1e-9 of it, to the bit.  The
+    lengths are summed left to right per polyline, as rows of a
+    zero-padded array (polylines in chunks of about ``_BATCH_ELEMENTS``
+    elements).  Each sample ``i * step`` takes the segment from the last
+    point at or before it, found per point rather than per sample, and is
+    interpolated by np.interp's rule: a sample on a point, or at or past
+    the end, is that point.
+    """
+    if not len(polylines):
+        return np.zeros((0, 2)), np.zeros(0, dtype=np.int64)
+    pts = [np.asarray(p, dtype=np.float64) for p in polylines]
+    n_pts = np.array([len(p) for p in pts])
+    xy = np.concatenate(pts)
+    first = np.cumsum(n_pts) - n_pts
+    last = first + n_pts - 1
+    line = np.repeat(np.arange(len(pts)), n_pts)
+    slot = np.arange(len(xy)) - first[line]  # place in its polyline
+    run = np.concatenate([[0.0], np.hypot(*np.diff(xy, axis=0).T)])  # arc length from the point before
+    run[first] = 0.0
+    cum = np.zeros(len(xy))
+    for a, b in _chunks(n_pts, _BATCH_ELEMENTS):
+        at = slice(first[a], last[b - 1] + 1)
+        cum[at] = np.cumsum(_pad_rows(line[at] - a, run[at], b - a, 0.0), axis=1)[line[at] - a, slot[at]]
+    total = cum[last]
+    n_step = np.ceil(total / step).astype(np.int64)  # len(np.arange(0.0, total, step))
+    counts = n_step + (total - np.maximum(n_step - 1, 0) * step > 1e-9)  # and the end, if not yet sampled
+    # the first sample ``i * step`` at or past each point, exact after a one-step correction of the quotient
+    q = np.ceil(cum / step)
+    q -= (q > 0) & ((q - 1) * step >= cum)
+    q += q * step < cum
+    q = np.minimum(q.astype(np.int64), n_step[line])
+    upto = np.append(q[1:], 0)
+    upto[last] = counts
+    knot = np.repeat(np.arange(len(xy)), upto - q)  # the last point at or before each sample
+    rel = (np.arange(len(knot)) - np.repeat(np.cumsum(counts) - counts, counts)) * step - cum[knot]
+    on_point = (slot == n_pts[line] - 1)[knot] | (rel == 0.0)
+    out = np.empty((2, len(knot)))  # returned transposed: each coordinate contiguous
+    for axis, v in enumerate(xy.T.copy()):
+        with np.errstate(divide="ignore", invalid="ignore"):  # zero-length segments are never sampled
+            slope = np.append(np.diff(v) / np.diff(cum), 0.0)
+        at = v[knot]
+        out[axis] = np.where(on_point, at, slope[knot] * rel + at)
+    return out.T, counts
+
+
 def sample_polyline(points: np.ndarray, step: float = 1.0) -> np.ndarray:
-    """Points along the polyline at arc-length intervals, endpoints included."""
-    pts = np.asarray(points, dtype=np.float64)
-    cum = cumulative_lengths(pts)
-    total = cum[-1]
-    ds = np.arange(0.0, total, step)
-    if total - (ds[-1] if len(ds) else 0.0) > 1e-9:
-        ds = np.concatenate([ds, [total]])
-    x = np.interp(ds, cum, pts[:, 0])
-    y = np.interp(ds, cum, pts[:, 1])
-    return np.stack([x, y], axis=1)
+    """Points along the polyline at arc-length intervals, endpoints included (see :func:`sample_polylines`)."""
+    return sample_polylines([points], step)[0]
 
 
 def polyline_pixels(polylines: list[np.ndarray], shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -118,13 +161,12 @@ def polyline_pixels(polylines: list[np.ndarray], shape: tuple[int, int]) -> tupl
     samples at once.
     """
     h, w = shape
-    samples = [sample_polyline(pts, step=0.5) for pts in polylines]
-    xy = np.concatenate(samples) if samples else np.zeros((0, 2))
+    xy, counts = sample_polylines(polylines, 0.5)
     cols = np.rint(xy[:, 0]).astype(np.int64)
     rows = np.rint(xy[:, 1]).astype(np.int64)
     ok = (cols >= 0) & (cols < w) & (rows >= 0) & (rows < h)
-    line = np.repeat(np.arange(len(samples)), [len(s) for s in samples])[ok]
+    line = np.repeat(np.arange(len(counts)), counts)[ok]
     keys = np.sort(line * (h * w) + rows[ok] * w + cols[ok])
     keys = keys[np.diff(keys, prepend=-1) > 0]  # without repeats
     line, keys = keys // (h * w), keys % (h * w)
-    return keys // w, keys % w, np.bincount(line, minlength=len(samples))
+    return keys // w, keys % w, np.bincount(line, minlength=len(counts))

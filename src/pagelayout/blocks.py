@@ -32,11 +32,14 @@ from ._raster import polyline_pixels
 from .baselines import ExtractParams, detect_baselines
 from .channels import ChannelMaps
 from .geometry import (
+    _BATCH_ELEMENTS,
     _EPS,
     Polygon,
     Polyline,
     _contains_within,
+    _chunks,
     _edge_crossings,
+    _pad_rows,
     _points_in_ring,
     _ring_crossings,
     _segment_distance,
@@ -49,10 +52,6 @@ from .geometry import intersection_area  # noqa: F401  (perfbench's traced run w
 from .layout import PageLayout, TextBlock, TextLine, baseline_midpoint
 
 logger = logging.getLogger("pagelayout.blocks")
-
-# elements per temporary of the batched ring and strip kernels; larger batches run in chunks
-_BATCH_ELEMENTS = 1 << 18
-
 
 @dataclass(frozen=True)
 class BlockParams:
@@ -148,17 +147,13 @@ def _heights(baselines: list[Polyline], maps: ChannelMaps, pct: float) -> tuple[
     counts = counts[on_page]
     ends = np.cumsum(counts)
     line = np.repeat(np.arange(len(counts)), counts)
-    slot = np.arange(len(rows)) - np.repeat(ends - counts, counts)  # place in its baseline's row
     rank = _rank(pct, counts) - 1
-    per = max(1, _BATCH_ELEMENTS // int(counts.max(initial=1)))
     heights = np.zeros((2, len(counts)))
     for c, plane in enumerate((maps.asc, maps.des)):
         values = plane[rows, cols].astype(np.float64)
-        for a in range(0, len(counts), per):
-            b = min(a + per, len(counts))
+        for a, b in _chunks(counts, _BATCH_ELEMENTS):
             at = slice(ends[a] - counts[a], ends[b - 1])
-            grid = np.full((b - a, int(counts[a:b].max())), np.inf)
-            grid[line[at] - a, slot[at]] = values[at]
+            grid = _pad_rows(line[at] - a, values[at], b - a, np.inf)
             grid.sort(axis=1)
             heights[c, a:b] = grid[np.arange(b - a), rank[a:b]]
     asc, des = np.zeros(len(baselines)), np.zeros(len(baselines))

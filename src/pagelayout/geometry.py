@@ -232,6 +232,26 @@ def clip_to_page(polygon: Polygon, h: int, w: int) -> Polygon:
 # Polygon intersection area / IoU
 # ---------------------------------------------------------------------------
 
+# elements per temporary of the package's batched kernels (overlaps, sampling, coverage, rings, strips);
+# larger batches run in chunks
+_BATCH_ELEMENTS = 1 << 18
+
+
+def _chunks(sizes: np.ndarray, budget: int):
+    """Consecutive ``(a, b)`` ranges over ``sizes``, each with ``(b - a) * max(sizes[a:b])`` (its rows padded
+    to the longest) within ``budget``, or of one item."""
+    if len(sizes) and len(sizes) * int(sizes.max()) <= budget:
+        yield 0, len(sizes)
+        return
+    a = 0
+    while a < len(sizes):
+        window = sizes[a : a + budget]  # sizes are >= 1, so no chunk holds more than ``budget`` items
+        padded = np.maximum.accumulate(window) * np.arange(1, len(window) + 1)
+        b = a + max(1, int(np.searchsorted(padded, budget, side="right")))
+        yield a, b
+        a = b
+
+
 def _pad_rows(rows: np.ndarray, values: np.ndarray, n_rows: int, fill: float) -> np.ndarray:
     """(n_rows, C, ...) array of ``values`` grouped by their ascending ``rows`` index, ``fill`` after each group."""
     counts = np.bincount(rows, minlength=n_rows)
@@ -242,6 +262,8 @@ def _pad_rows(rows: np.ndarray, values: np.ndarray, n_rows: int, fill: float) ->
 
 def _ring_edges(rings: list[np.ndarray]) -> np.ndarray:
     """(K, E, 4) edge endpoints ``x1, y1, x2, y2`` of K rings; NaN pads the shorter rings."""
+    if len(rings) == 1:
+        return np.hstack([rings[0], _next(rings[0])])[None]
     lens = np.array([len(r) for r in rings])
     starts = np.cumsum(lens) - lens
     nxt = np.arange(1, lens.sum() + 1)
@@ -251,9 +273,12 @@ def _ring_edges(rings: list[np.ndarray]) -> np.ndarray:
 
 
 def _crossing_xs(a_edges: np.ndarray, b_edges: np.ndarray) -> np.ndarray:
-    """(K, C) x coordinates where edges of one ring cross edges of each of K rings; NaN pads."""
-    p1 = a_edges[None, :, None, :2]
-    r = (a_edges[:, 2:] - a_edges[:, :2])[None, :, None, :]
+    """(K, C) x coordinates where the edges of ring pair k cross, taken along the ``a`` edge; NaN pads.
+
+    Each side is a (K, E, 4) stack of :func:`_ring_edges`, or (1, E, 4) for one ring in every pair.
+    """
+    p1 = a_edges[:, :, None, :2]
+    r = a_edges[:, :, None, 2:] - p1
     q1 = b_edges[:, None, :, :2]
     s = b_edges[:, None, :, 2:] - q1
     denom = r[..., 0] * s[..., 1] - r[..., 1] * s[..., 0]
@@ -262,27 +287,34 @@ def _crossing_xs(a_edges: np.ndarray, b_edges: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         t = (dx * s[..., 1] - dy * s[..., 0]) / denom
     k, i, j = np.nonzero((np.abs(denom) > _EPS) & (t >= -_EPS) & (t <= 1 + _EPS))
-    r, t, denom = r[0, i, 0], t[k, i, j], denom[k, i, j]
-    u = (dx[k, i, j] * r[:, 1] - dy[k, i, j] * r[:, 0]) / denom
+    edge = i if len(a_edges) == 1 else k * a_edges.shape[1] + i  # the a edge's row in the flat stack
+    r = np.take(r.reshape(-1, 2), edge, axis=0)  # np.take: row gathers by fancy index are many times slower
+    t, d = t[k, i, j], denom[k, i, j]
+    u = (dx[k, i, j] * r[:, 1] - dy[k, i, j] * r[:, 0]) / d
     hit = (u >= -_EPS) & (u <= 1 + _EPS)
-    k = k[hit]
-    return _pad_rows(k, a_edges[i[hit], 0] + t[hit] * r[hit, 0], len(b_edges), np.nan)
+    xs = a_edges.reshape(-1, 4)[edge[hit], 0] + t[hit] * r[hit, 0]
+    return _pad_rows(k[hit], xs, len(denom), np.nan)
 
 
-def _slab_intervals(edges: np.ndarray, xm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _slab_intervals(edges: np.ndarray, xm: np.ndarray, owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inside-intervals of a ring on the vertical line through each slab midpoint.
 
-    ``edges`` is (E, 4) or, one ring per slab, (N, E, 4); ``xm`` is (N,).
-    Returns (N, C) interval starts and ends: the sorted edge-crossing ys at
-    even and odd positions, padded with +inf starts and -inf ends, so an
-    overlap with a pad is -inf.  Midpoints never coincide with vertex
-    abscissae, so every edge either strictly straddles a midpoint or misses
-    it, and a closed ring crosses each midpoint an even number of times.
+    ``edges`` is a (K, E, 4) stack of :func:`_ring_edges`, or (1, E, 4)
+    for one ring in every pair; slab n has its midpoint at ``xm[n]`` and
+    lies in pair ``owner[n]``.  Returns (N, C) interval starts and ends:
+    the sorted edge-crossing ys at even and odd positions, padded with +inf
+    starts and -inf ends, so an overlap with a pad is -inf.  Midpoints
+    never coincide with vertex abscissae, so every edge either strictly
+    straddles a midpoint or misses it, and a closed ring crosses each
+    midpoint an even number of times.
     """
     x_lo = np.minimum(edges[..., 0], edges[..., 2])
     x_hi = np.maximum(edges[..., 0], edges[..., 2])
+    if len(edges) > 1:
+        x_lo, x_hi = np.take(x_lo, owner, axis=0), np.take(x_hi, owner, axis=0)
     n, e = np.nonzero((x_lo < xm[:, None]) & (xm[:, None] < x_hi))
-    x1, y1, x2, y2 = (edges[e] if edges.ndim == 2 else edges[n, e]).T
+    edge = e if len(edges) == 1 else owner[n] * edges.shape[1] + e
+    x1, y1, x2, y2 = np.take(edges.reshape(-1, 4), edge, axis=0).T
     ys = y1 + (xm[n] - x1) / (x2 - x1) * (y2 - y1)
     order = np.lexsort((ys, n))
     grid = _pad_rows(n[order], ys[order], len(xm), np.inf)
@@ -292,46 +324,75 @@ def _slab_intervals(edges: np.ndarray, xm: np.ndarray) -> tuple[np.ndarray, np.n
     return grid[:, 0:depth:2], hi
 
 
-def intersection_area(a: Polygon, b: Polygon | Sequence[Polygon]) -> float | np.ndarray:
+def _pair_up(a, b) -> tuple[list[Polygon], list[Polygon]]:
+    """Both sides of a pairwise call as lists: of one length, or of one polygon that every pair shares."""
+    la = [a] if isinstance(a, Polygon) else list(a)
+    lb = [b] if isinstance(b, Polygon) else list(b)
+    if not isinstance(a, Polygon) and not isinstance(b, Polygon) and len(la) != len(lb):
+        raise ValueError(f"polygon sequences of unequal lengths {len(la)} and {len(lb)}")
+    return la, lb
+
+
+def intersection_area(a: Polygon | Sequence[Polygon], b: Polygon | Sequence[Polygon]) -> float | np.ndarray:
     """Area of overlap between two simple polygons.
 
     Decomposes the overlap into vertical slabs bounded by every vertex
     abscissa and every edge/edge crossing; inside a slab the overlap width
     varies linearly with x, so the midpoint sample integrates it exactly.
 
-    ``b`` may also be a sequence of polygons: the result is then a float64
-    array with one area per polygon, each equal to the single-polygon
-    result to the last bit (the same abscissae, midpoints, widths and
-    crossings; interval pairs and then slabs summed left to right).
-    Bounding boxes that do not overlap in x, or lie apart in y by more than
-    any rounding of the crossing ordinates, give exactly 0 without slabs.
+    Either side may also be a sequence of polygons: two sequences of one
+    length are taken pair by pair, and a single polygon on one side is
+    paired with each polygon of the other.  The result is then a float64
+    array with one area per pair, each equal to the single-pair result to
+    the last bit (the same abscissae, midpoints, widths and crossings;
+    interval pairs and then slabs summed left to right), whatever the
+    batch and its chunks.  Bounding boxes that do not overlap in x, or lie
+    apart in y by more than any rounding of the crossing ordinates, give
+    exactly 0 without slabs.
     """
-    if isinstance(b, Polygon):
-        return float(_intersection_areas(a, [b])[0])
-    return _intersection_areas(a, list(b))
+    if isinstance(a, Polygon) and isinstance(b, Polygon):
+        return float(_overlaps([a], [b])[0])
+    return _overlaps(*_pair_up(a, b))
 
 
-def _intersection_areas(a: Polygon, polys: list[Polygon]) -> np.ndarray:
-    """Overlap of ``a`` with each polygon: every polygon's slabs side by side on a padded axis."""
-    out = np.zeros(len(polys))
-    ax0, ay0, ax1, ay1 = a.bounds()
-    boxes = np.array([p.bounds() for p in polys]).reshape(-1, 4)
-    lo = np.maximum(ax0, boxes[:, 0])
-    hi = np.minimum(ax1, boxes[:, 2])
+def _overlaps(a: list[Polygon], b: list[Polygon]) -> np.ndarray:
+    """Overlap of each pair ``(a[k], b[k])``, a one-item side shared by every pair; pairs in chunks of
+    about ``_BATCH_ELEMENTS`` elements, each chunk's slabs side by side on a padded axis."""
+    n = max(len(a), len(b)) if a and b else 0
+    out = np.zeros(n)
+    if n == 0:
+        return out
+    ab = np.array([p.bounds() for p in a])
+    bb = np.array([p.bounds() for p in b])
+    lo = np.maximum(ab[:, 0], bb[:, 0])
+    hi = np.minimum(ab[:, 2], bb[:, 2])
     # Interpolated crossing ys leave a ring's box by at most a few ulps of
     # its largest |y|; past a wider gap every interval overlap is negative.
-    y_gap = np.maximum(ay0, boxes[:, 1]) - np.minimum(ay1, boxes[:, 3])
-    y_tol = _EPS * (1.0 + max(abs(ay0), abs(ay1), float(np.abs(boxes[:, 1::2]).max(initial=0.0))))
+    y_gap = np.maximum(ab[:, 1], bb[:, 1]) - np.minimum(ab[:, 3], bb[:, 3])
+    y_tol = _EPS * (1.0 + np.maximum(np.abs(ab[:, 1::2]).max(axis=1), np.abs(bb[:, 1::2]).max(axis=1)))
     live = np.flatnonzero((hi - lo > _EPS) & (y_gap <= y_tol))
     if len(live) == 0:
         return out
-    lo, hi = lo[live, None], hi[live, None]
-    a_edges = np.hstack([a.ring, _next(a.ring)])
-    b_edges = _ring_edges([polys[k].ring for k in live])
+    rings_a = [a[0].ring] if len(a) == 1 else [a[k].ring for k in live]
+    rings_b = [b[0].ring] if len(b) == 1 else [b[k].ring for k in live]
+    sizes = (np.array([len(r) for r in rings_a]) + np.array([len(r) for r in rings_b])) ** 2
+    shared_a = _ring_edges(rings_a) if len(a) == 1 else None
+    shared_b = _ring_edges(rings_b) if len(b) == 1 else None
+    for c0, c1 in _chunks(sizes, _BATCH_ELEMENTS):
+        a_edges = _ring_edges(rings_a[c0:c1]) if shared_a is None else shared_a
+        b_edges = _ring_edges(rings_b[c0:c1]) if shared_b is None else shared_b
+        ks = live[c0:c1]
+        out[ks] = _slab_areas(a_edges, b_edges, lo[ks, None], hi[ks, None])
+    return out
+
+
+def _slab_areas(a_edges: np.ndarray, b_edges: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Overlap of K ring pairs (see :func:`_crossing_xs`) whose boxes share the x range ``lo``-``hi`` ((K, 1) each)."""
+    out = np.zeros(len(lo))
     xs = np.concatenate(
         [
-            a.ring[None, :, 0].repeat(len(live), axis=0),
-            b_edges[:, :, 0],
+            a_edges[:, :, 0].repeat(len(lo) // len(a_edges), axis=0),  # a shared ring's, once per pair
+            b_edges[:, :, 0].repeat(len(lo) // len(b_edges), axis=0),
             _crossing_xs(a_edges, b_edges),
             lo,
             hi,
@@ -346,38 +407,37 @@ def _intersection_areas(a: Polygon, polys: list[Polygon]) -> np.ndarray:
     if len(k) == 0:
         return out
     xm = (xs[k, i] + xs[k, i + 1]) / 2.0
-    lo_a, hi_a = _slab_intervals(a_edges, xm)
-    lo_b, hi_b = _slab_intervals(b_edges[k], xm)
+    lo_a, hi_a = _slab_intervals(a_edges, xm, k)
+    lo_b, hi_b = _slab_intervals(b_edges, xm, k)
     ov = np.minimum(hi_a[:, :, None], hi_b[:, None, :]) - np.maximum(lo_a[:, :, None], lo_b[:, None, :])
     ov = np.where(ov > 0, ov, 0.0).reshape(len(xm), -1)
     # Left-to-right sums from 0.0, interval pairs in (i, j) order and then
     # slabs by x: np.sum would add pairwise and round differently.
     pairs = np.add.accumulate(np.concatenate([np.zeros((len(xm), 1)), ov], axis=1), axis=1)[:, -1]
-    terms = np.zeros((len(live), widths.shape[1] + 1))
+    terms = np.zeros((len(lo), widths.shape[1] + 1))
     terms[k, i + 1] = pairs * widths[k, i]
-    out[live] = np.add.accumulate(terms, axis=1)[:, -1]
-    return out
+    return np.add.accumulate(terms, axis=1)[:, -1]
 
 
-def polygon_iou(a: Polygon, b: Polygon | Sequence[Polygon]) -> float | np.ndarray:
+def _areas(p: Polygon | list[Polygon]) -> float | np.ndarray:
+    return p.area if isinstance(p, Polygon) else np.array([q.area for q in p], dtype=np.float64)
+
+
+def polygon_iou(a: Polygon | Sequence[Polygon], b: Polygon | Sequence[Polygon]) -> float | np.ndarray:
     """Intersection-over-union of two polygons by exact area; 0 when disjoint.
 
-    ``b`` may also be a sequence of polygons: the result is then a float64
-    array with one IoU per polygon, each equal to the single-polygon result
-    to the last bit (the overlaps come from one batched
-    :func:`intersection_area` call).
+    Takes the sequence and broadcast forms of :func:`intersection_area`
+    (one call of it): the result is then a float64 array with one IoU per
+    pair, each equal to the single-pair result to the last bit.
     """
-    if isinstance(b, Polygon):
-        return float(_ious(a, [b])[0])
-    return _ious(a, list(b))
-
-
-def _ious(a: Polygon, polys: list[Polygon]) -> np.ndarray:
-    inter = intersection_area(a, polys)
-    union = a.area + np.array([p.area for p in polys]) - inter
+    a = a if isinstance(a, Polygon) else list(a)
+    b = b if isinstance(b, Polygon) else list(b)
+    inter = np.asarray(intersection_area(a, b))
+    union = _areas(a) + _areas(b) - inter
     with np.errstate(divide="ignore", invalid="ignore"):
         iou = np.minimum(1.0, np.maximum(0.0, inter / union))
-    return np.where(union > _EPS, iou, 0.0)
+    iou = np.where(union > _EPS, iou, 0.0)
+    return float(iou) if iou.ndim == 0 else iou
 
 
 # ---------------------------------------------------------------------------

@@ -1004,3 +1004,87 @@ def extract_page_oracle(maps, extract_params=None, block_params=None, merge=True
         groups = [merge_block_lines(g, maps.shape, block_params, extract_params.max_control_points) for g in groups]
     blocks = [TextBlock(g.id, g.lines, block_polygon(g.lines)) for g in groups if g.lines]
     return PageLayout(page_id, maps.height, maps.width, blocks)
+
+
+def sample_polyline_oracle(points, step: float = 1.0) -> np.ndarray:
+    """One polyline's samples by ``np.arange`` and ``np.interp`` over its cumulative lengths, as
+    ``_raster.sample_polyline`` was written before it shared the batched sampler."""
+    pts = np.asarray(points, dtype=np.float64)
+    cum = np.concatenate([[0.0], np.cumsum(np.hypot(*np.diff(pts, axis=0).T))])
+    total = cum[-1]
+    ds = np.arange(0.0, total, step)
+    if total - (ds[-1] if len(ds) else 0.0) > 1e-9:
+        ds = np.concatenate([ds, [total]])
+    return np.stack([np.interp(ds, cum, pts[:, 0]), np.interp(ds, cum, pts[:, 1])], axis=1)
+
+
+def _coverage_per_segment_oracle(sources, targets, tolerance: float) -> float:
+    """Baseline coverage one target segment at a time, each testing the not yet covered samples of its box."""
+    from pagelayout.geometry import _segment_distance
+
+    if not targets:
+        return 0.0
+    pts = np.concatenate([sample_polyline_oracle(line.points, 1.0) for line in sources])
+    order = np.argsort(pts[:, 1])
+    ys = pts[order, 1]
+    segs = np.concatenate([np.stack([line.points[:-1], line.points[1:]], axis=1) for line in targets])
+    d = segs[:, 1] - segs[:, 0]
+    lo = segs.min(axis=1) - (tolerance + 1e-6)
+    hi = segs.max(axis=1) + (tolerance + 1e-6)
+    covered = np.zeros(len(pts), dtype=bool)
+    for k in range(len(segs)):
+        idx = order[np.searchsorted(ys, lo[k, 1], "left") : np.searchsorted(ys, hi[k, 1], "right")]
+        qx = pts[idx, 0]
+        idx = idx[(qx >= lo[k, 0]) & (qx <= hi[k, 0]) & ~covered[idx]]
+        if not len(idx):
+            continue
+        dist = _segment_distance(pts[idx, 0], pts[idx, 1], segs[k, 0], d[k])
+        covered[idx[dist <= tolerance]] = True
+    return float(covered.mean())
+
+
+def _match_per_prediction_oracle(pred, gt, iou_threshold: float) -> tuple[float, float, float]:
+    """Greedy IoU matching with one one-vs-many ``polygon_iou`` call per prediction, over the truths its box touches."""
+    from pagelayout.geometry import polygon_iou
+    from pagelayout.metrics import f_value
+
+    if not pred and not gt:
+        return (1.0, 1.0, 1.0)
+    if not pred or not gt:
+        return (1.0 if not pred else 0.0, 1.0 if not gt else 0.0, 0.0)
+    pairs = []
+    pb = np.array([p.bounds() for p in pred])[:, None, :]
+    gb = np.array([g.bounds() for g in gt])[None, :, :]
+    touch = (pb[..., 2] >= gb[..., 0]) & (gb[..., 2] >= pb[..., 0]) & (pb[..., 3] >= gb[..., 1]) & (gb[..., 3] >= pb[..., 1])
+    for i in np.flatnonzero(touch.any(axis=1)):
+        near = np.flatnonzero(touch[i])
+        ious = polygon_iou(pred[i], [gt[j] for j in near])
+        pairs.extend((float(iou), int(i), int(j)) for iou, j in zip(ious, near) if iou > iou_threshold)
+    pairs.sort(key=lambda t: (-t[0], t[1], t[2]))
+    used_p: set[int] = set()
+    used_g: set[int] = set()
+    for _, i, j in pairs:
+        if i not in used_p and j not in used_g:
+            used_p.add(i)
+            used_g.add(j)
+    p, r = len(used_p) / len(pred), len(used_g) / len(gt)
+    return (p, r, f_value(p, r))
+
+
+def evaluate_oracle(pred, gt, iou_threshold: float = 0.7):
+    """``metrics.evaluate`` with per-segment baseline coverage and per-prediction polygon matching."""
+    from pagelayout.metrics import PageScores, f_value
+
+    heights = [line.height for line in gt.lines()]
+    tolerance = 0.25 * float(np.median(heights)) if heights else 4.0
+    pred_bl = [line.baseline for line in pred.lines()]
+    gt_bl = [line.baseline for line in gt.lines()]
+    if not pred_bl and not gt_bl:
+        base = (1.0, 1.0, 1.0)
+    else:
+        p = 1.0 if not pred_bl else _coverage_per_segment_oracle(pred_bl, gt_bl, tolerance)
+        r = 1.0 if not gt_bl else _coverage_per_segment_oracle(gt_bl, pred_bl, tolerance)
+        base = (p, r, f_value(p, r))
+    line = _match_per_prediction_oracle([ln.polygon for ln in pred.lines()], [ln.polygon for ln in gt.lines()], iou_threshold)
+    block = _match_per_prediction_oracle([b.polygon for b in pred.blocks], [b.polygon for b in gt.blocks], iou_threshold)
+    return PageScores(gt.page_id, base, line, block)

@@ -305,6 +305,16 @@ class TestErrors:
         assert json.loads((elsewhere / "eval.json").read_text())["aggregate"]["block"]["f"] == 1.0
         assert load_layout((elsewhere / "detect.json").read_bytes()).blocks
 
+    @pytest.mark.parametrize("threshold", ["-0.1", "1.5", "nan"])
+    def test_eval_iou_threshold_outside_unit_interval_exits_1(self, tmp_path, capsys, threshold):
+        layout = tmp_path / "l.json"
+        layout.write_bytes(save_layout(generate(SynthConfig(seed=1, page_size=(384, 512)))))
+        report = tmp_path / "r.json"
+        assert run(["eval", "--pred", layout, "--gt", layout, "--iou-threshold", threshold, "--report", report]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "iou_threshold must lie in [0, 1]" in err
+        assert not report.exists()
+
     def test_eval_mismatched_modes_exits_1(self, tmp_path):
         f = tmp_path / "x.json"
         f.write_text("{}")

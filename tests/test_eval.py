@@ -1,14 +1,23 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from pagelayout.blocks import polygon_from_baseline
+import pagelayout._raster
+import pagelayout.geometry
+import pagelayout.metrics
+from pagelayout.blocks import extract_page, polygon_from_baseline
+from pagelayout.channels import rotate_maps
 from pagelayout.geometry import Polygon, Polyline, polygon_iou
 from pagelayout.layout import PageLayout
 from pagelayout.metrics import build_report, evaluate, f_value, match_baselines, match_polygons
-from pagelayout.synth import SynthConfig, generate
+from pagelayout.orient import detect_multi_orientation
+from pagelayout.render import render_gt, render_orientation_gt
+from pagelayout.synth import SynthConfig, corrupt, generate
 
 from conftest import make_block, make_line, make_page
-from oracles import coverage_oracle, greedy_match_oracle, rect_iou_oracle
+from oracles import coverage_oracle, evaluate_oracle, greedy_match_oracle, rect_iou_oracle
 
 
 def rect(x0, y0, x1, y1):
@@ -153,6 +162,32 @@ class TestMatchPolygons:
             assert match_polygons(p2, g2) == ref
 
 
+def score_bits(scores):
+    """Every P/R/F value of a ``PageScores`` as its exact bits."""
+    return [v.hex() for prf in (scores.baseline, scores.line, scores.block) for v in prf]
+
+
+def scored_pages(kind, seeds):
+    """(prediction, ground truth) of clean, noisy (criterion-2 corruption) or multi-orientation pages."""
+    for seed in seeds:
+        if kind == "multi":
+            gt = generate(SynthConfig(seed=seed, vertical_line_prob=0.3))
+            maps = render_gt(gt)
+            frames = {0: maps, 1: rotate_maps(maps, 1), 3: rotate_maps(maps, 3)}
+            yield detect_multi_orientation(frames, render_orientation_gt(gt)), gt
+        else:
+            gt = generate(SynthConfig(seed=seed))
+            maps = render_gt(gt)
+            if kind == "noisy":
+                maps = corrupt(maps, noise_sigma=0.1, blur_size=3, dropout_prob=0.05, rng_seed=seed)
+            yield extract_page(maps), gt
+
+
+@pytest.fixture(scope="module")
+def page_pairs():
+    return {kind: list(scored_pages(kind, range(10))) for kind in ("clean", "noisy", "multi")}
+
+
 class TestEvaluate:
     def test_perfect_self_score(self, simple_page):
         scores = evaluate(simple_page, simple_page)
@@ -204,3 +239,92 @@ class TestEvaluate:
             assert scores.baseline == (1.0, 1.0, 1.0)
             assert scores.line == (1.0, 1.0, 1.0)
             assert scores.block == (1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("kind", ["clean", "noisy", "multi"])
+    def test_matches_per_item_oracle(self, page_pairs, kind):
+        """All-pairs coverage and one pairwise IoU call per level score every page as the per-segment
+        and per-prediction loops did, to the bit."""
+        for pred, gt in page_pairs[kind]:
+            assert score_bits(evaluate(pred, gt)) == score_bits(evaluate_oracle(pred, gt))
+            assert score_bits(evaluate(gt, pred, 0.3)) == score_bits(evaluate_oracle(gt, pred, 0.3))
+
+    def test_small_chunks_equal_one_chunk(self, page_pairs, monkeypatch):
+        """Coverage pairs, sampled polylines and kernel pairs in many chunks give the one-chunk scores."""
+        pairs = page_pairs["noisy"][:3] + page_pairs["multi"][:3]
+        want = [score_bits(evaluate(pred, gt)) for pred, gt in pairs]
+        for module in (pagelayout.metrics, pagelayout._raster, pagelayout.geometry):
+            monkeypatch.setattr(module, "_BATCH_ELEMENTS", 300)
+        chunk_counts, distance_calls = [], []
+        chunks, distance = pagelayout.geometry._chunks, pagelayout.metrics._segment_distance
+
+        def counted_chunks(sizes, budget):
+            ranges = list(chunks(sizes, budget))
+            chunk_counts.append(len(ranges))
+            return ranges
+
+        def counted_distance(*args):
+            distance_calls.append(1)
+            return distance(*args)
+
+        monkeypatch.setattr(pagelayout.geometry, "_chunks", counted_chunks)
+        monkeypatch.setattr(pagelayout._raster, "_chunks", counted_chunks)
+        monkeypatch.setattr(pagelayout.metrics, "_segment_distance", counted_distance)
+        assert [score_bits(evaluate(pred, gt)) for pred, gt in pairs] == want
+        assert max(chunk_counts) > 10  # the kernel and the sampler ran in many chunks
+        assert len(distance_calls) > 10 * 2 * len(pairs)  # and so did coverage
+
+    def test_memory_stays_flat_on_a_large_page(self):
+        """A page of 2,400 short lines, each touching the boxes of its eight neighbours, scores against
+        itself with a bounded traced peak (the chunked kernel and coverage), not a timed one."""
+        blocks = []
+        for b in range(8):
+            x0, y0 = 20 + 310 * (b % 2), 20 + 230 * (b // 2)
+            lines = [
+                make_line(f"b{b}r{row}k{k}", x0 + 28 * k, x0 + 28 * (k + 1), y0 + 7 * row, 5.0, 2.0)
+                for row in range(30)
+                for k in range(10)
+            ]
+            blocks.append(make_block(f"b{b}", lines))
+        page = make_page(blocks, height=960, width=660)
+        assert len(page.lines()) == 2400
+        tracemalloc.start()
+        try:
+            scores = evaluate(page, page)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert scores.baseline == scores.line == scores.block == (1.0, 1.0, 1.0)
+        assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+class TestValidatedDomains:
+    @pytest.mark.parametrize("threshold", [-0.1, 1.0 + 1e-9, math.nan, math.inf, -math.inf])
+    def test_iou_threshold_outside_unit_interval_raises(self, threshold):
+        touching, apart = [rect(10, 0, 20, 10)], [rect(50, 50, 60, 60)]
+        for gt in (touching, apart, []):
+            with pytest.raises(ValueError, match=r"iou_threshold must lie in \[0, 1\]"):
+                match_polygons([rect(0, 0, 10, 10)], gt, threshold)
+        with pytest.raises(ValueError, match="iou_threshold"):
+            match_polygons([], [], threshold)
+
+    def test_unit_interval_ends_are_accepted(self):
+        a, b = rect(0, 0, 10, 10), rect(10, 0, 20, 10)  # boxes touch, IoU 0
+        assert match_polygons([a], [b], 0.0) == match_polygons([a], [rect(50, 50, 60, 60)], 0.0) == (0.0, 0.0, 0.0)
+        assert match_polygons([a], [a], 0.0) == (1.0, 1.0, 1.0)
+        assert match_polygons([a], [a], 1.0) == (0.0, 0.0, 0.0)  # IoU 1 is not above 1
+
+    @pytest.mark.parametrize("tolerance", [-0.5, math.nan, math.inf])
+    def test_bad_baseline_tolerance_raises(self, tolerance):
+        lines = [Polyline([[0, 5], [40, 5]])]
+        for pred, gt in ((lines, lines), ([], lines), ([], [])):
+            with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+                match_baselines(pred, gt, tolerance)
+
+    def test_zero_tolerance_is_accepted(self):
+        lines = [Polyline([[0, 5], [40, 5]])]
+        assert match_baselines(lines, lines, 0.0) == (1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("threshold", [-0.1, 1.5, math.nan])
+    def test_evaluate_rejects_the_threshold(self, simple_page, threshold):
+        with pytest.raises(ValueError, match="iou_threshold"):
+            evaluate(simple_page, simple_page, threshold)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import pagelayout.geometry
 from pagelayout.blocks import block_polygon, polygon_from_baseline
 from pagelayout.geometry import (
     Polygon,
@@ -245,6 +246,85 @@ class TestPolygonIoUSequence:
 
     def test_empty_sequence(self):
         assert polygon_iou(square(0, 0, 1, 1), []).shape == (0,)
+
+
+def kernel_pairs(seed, count):
+    """(a, b) polygon pairs of every kind the pairwise kernel meets: the layouts of :func:`random_pairs`
+    (edge-touching, vertex-touching, disjoint in x or in y, nested, combs), rectangles, jittered line
+    rings, convex hulls, and identical polygons."""
+    rng = np.random.default_rng(seed)
+    pairs = random_pairs(seed, count // 2)
+
+    def rectangle():
+        x0, y0 = rng.uniform(0, 30, 2)
+        return square(x0, y0, x0 + rng.uniform(1, 15), y0 + rng.uniform(1, 15))
+
+    def line_ring():
+        n = int(rng.integers(2, 7))
+        base = np.stack([np.cumsum(rng.uniform(3, 12, n)), 10 + np.cumsum(rng.uniform(-3, 3, n))], axis=1)
+        return polygon_from_baseline(base + rng.uniform(0, 20, 2), rng.uniform(2, 9), rng.uniform(0, 4))
+
+    def hull():
+        return convex_hull(rng.uniform(0, 30, (int(rng.integers(3, 30)), 2)))
+
+    makers = (rectangle, line_ring, hull)
+    while len(pairs) < count:
+        a = makers[int(rng.integers(3))]()
+        b = a if rng.uniform() < 0.15 else makers[int(rng.integers(3))]()
+        pairs.append((a, b))
+    return pairs
+
+
+def bits(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestPairwiseKernel:
+    def test_pairs_equal_single_pair_calls(self):
+        pairs = kernel_pairs(31, 900)
+        a, b = [p for p, _ in pairs], [q for _, q in pairs]
+        areas = intersection_area(a, b)
+        assert areas.dtype == np.float64 and areas.shape == (len(pairs),)
+        assert bits(areas) == bits(intersection_area(p, q) for p, q in pairs)
+        assert bits(areas[::7]) == bits(intersection_area_oracle(p, q) for p, q in pairs[::7])
+        assert bits(polygon_iou(a, b)) == bits(polygon_iou(p, q) for p, q in pairs)
+        assert bits(polygon_iou(b, a)) == bits(polygon_iou(q, p) for p, q in pairs)
+        assert (areas > 0).sum() > 300 and (areas == 0).sum() > 100
+
+    def test_a_single_polygon_broadcasts_on_either_side(self):
+        pairs = kernel_pairs(32, 80)
+        polys = [p for pair in pairs for p in pair]
+        for one in polys[::27]:
+            assert bits(intersection_area(one, polys)) == bits(intersection_area(one, p) for p in polys)
+            assert bits(intersection_area(polys, one)) == bits(intersection_area(p, one) for p in polys)
+            assert bits(polygon_iou(one, polys)) == bits(polygon_iou(one, p) for p in polys)
+            assert bits(polygon_iou(polys, one)) == bits(polygon_iou(p, one) for p in polys)
+
+    def test_empty_and_one_item_sequences(self):
+        a = square(0, 0, 2, 2)
+        for f in (intersection_area, polygon_iou):
+            for args in (([], []), (a, []), ([], a)):
+                got = f(*args)
+                assert got.dtype == np.float64 and got.shape == (0,)
+            assert bits(f([a], [a])) == bits([f(a, a)])
+            assert bits(f(a, [a])) == bits(f([a], a)) == bits([f(a, a)])
+
+    def test_unequal_sequences_raise(self):
+        a = square(0, 0, 2, 2)
+        for f in (intersection_area, polygon_iou):
+            with pytest.raises(ValueError, match="unequal lengths"):
+                f([a, a], [a])
+            with pytest.raises(ValueError, match="unequal lengths"):
+                f([], [a])
+
+    def test_small_chunks_equal_one_chunk(self, monkeypatch):
+        pairs = kernel_pairs(33, 300)
+        a, b = [p for p, _ in pairs], [q for _, q in pairs]
+        want = bits(intersection_area(a, b)), bits(intersection_area(a[0], b)), bits(intersection_area(a, b[0]))
+        monkeypatch.setattr(pagelayout.geometry, "_BATCH_ELEMENTS", 500)
+        assert (bits(intersection_area(a, b)), bits(intersection_area(a[0], b)), bits(intersection_area(a, b[0]))) == want
+        assert len(list(pagelayout.geometry._chunks(np.array([len(p.ring) + len(q.ring) for p, q in pairs]) ** 2, 500))) > 50
 
 
 class TestStoredBounds:

@@ -40,6 +40,9 @@ def test_counters_bind_on_traced_pages(simple_page):
         "layout.intersection_area",
         "orient.cluster_blocks",
         "metrics._coverage",
+        # metrics.match_polygons_ms, and geometry.polygon_iou_calls counting the matching calls
+        "metrics.match_polygons",
+        "metrics.polygon_iou",
         # orient.angle_ms and orient.candidates, the dedup, and baselines.smooth_nms_ms
         "orient.estimate_line_angle",
         "orient.polygon_iou",

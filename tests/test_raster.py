@@ -3,14 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from pagelayout._raster import polygon_window, polyline_pixels, sample_polyline, stroke_window
+import pagelayout._raster
+from pagelayout._raster import polygon_window, polyline_pixels, sample_polyline, sample_polylines, stroke_window
 from pagelayout.blocks import polygon_from_baseline
 from pagelayout.channels import OrientationMaps
 from pagelayout.geometry import Polyline
 from pagelayout.layout import TextLine
 from pagelayout.orient import estimate_line_angle
 
-from oracles import disk_pixels_oracle, polygon_pixels_oracle, polygon_window_oracle, stroke_pixels_oracle
+from oracles import (
+    disk_pixels_oracle,
+    polygon_pixels_oracle,
+    polygon_window_oracle,
+    sample_polyline_oracle,
+    stroke_pixels_oracle,
+)
 
 SHAPE = (24, 32)
 
@@ -209,7 +216,56 @@ class TestPolylinePixels:
             rows, cols, counts = polyline_pixels(lines, shape)
             assert len(counts) == len(lines)
             for pts, a, b in zip(lines, np.cumsum(counts) - counts, np.cumsum(counts)):
-                samples = np.rint(sample_polyline(pts, 0.5)).astype(np.int64)
+                samples = np.rint(sample_polyline_oracle(pts, 0.5)).astype(np.int64)
                 ok = (samples[:, 0] >= 0) & (samples[:, 0] < shape[1]) & (samples[:, 1] >= 0) & (samples[:, 1] < shape[0])
                 want = sorted({(int(r), int(c)) for c, r in samples[ok]})
                 assert list(zip(rows[a:b].tolist(), cols[a:b].tolist())) == want
+
+
+def random_polylines(rng, count):
+    """Polylines of 2-11 points: scattered, on the integer grid (samples land on points), short and
+    fine-stepped, long, or with repeated points (zero-length segments)."""
+    lines = []
+    for _ in range(count):
+        n = int(rng.integers(2, 12))
+        kind = int(rng.integers(5))
+        if kind == 0:
+            pts = rng.uniform(-50, 500, (n, 2))
+        elif kind == 1:
+            pts = np.cumsum(rng.integers(-5, 6, (n, 2)), axis=0).astype(float) + [[i, 0] for i in range(n)]
+        elif kind == 2:
+            pts = np.stack([np.linspace(0, rng.uniform(1e-3, 3), n), np.zeros(n)], axis=1) + rng.uniform(0, 100, 2)
+        elif kind == 3:
+            pts = np.cumsum(rng.uniform(0, 2, (n, 2)), axis=0) * rng.choice([0.1, 1.0, 1e3])
+        else:
+            pts = rng.uniform(0, 60, (n, 2))
+            pts[int(rng.integers(1, n))] = pts[int(rng.integers(0, n))]
+            pts = np.vstack([pts[:1], pts])  # a repeated first point too
+        lines.append(pts)
+    return lines
+
+
+class TestSamplePolylines:
+    @pytest.mark.parametrize("step", [1.0, 0.5, 0.3])
+    def test_each_polyline_matches_arange_and_interp(self, step):
+        """Batched samples equal np.arange and np.interp per polyline, to the bit (sign of zero included)."""
+        rng = np.random.default_rng(41)
+        for _ in range(150):
+            lines = random_polylines(rng, int(rng.integers(1, 10)))
+            got, counts = sample_polylines(lines, step)
+            want = [sample_polyline_oracle(pts, step) for pts in lines]
+            assert counts.tolist() == [len(w) for w in want]
+            assert np.array_equal(got.view(np.int64), np.concatenate(want).view(np.int64))
+            assert np.array_equal(sample_polyline(lines[0], step).view(np.int64), want[0].view(np.int64))
+
+    def test_no_polylines(self):
+        got, counts = sample_polylines([], 1.0)
+        assert got.shape == (0, 2) and counts.shape == (0,)
+
+    def test_small_chunks_equal_one_chunk(self, monkeypatch):
+        rng = np.random.default_rng(42)
+        lines = random_polylines(rng, 60)
+        want, want_counts = sample_polylines(lines, 0.5)
+        monkeypatch.setattr(pagelayout._raster, "_BATCH_ELEMENTS", 20)
+        got, counts = sample_polylines(lines, 0.5)
+        assert np.array_equal(counts, want_counts) and np.array_equal(got.view(np.int64), want.view(np.int64))
