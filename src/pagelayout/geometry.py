@@ -367,9 +367,10 @@ def _overlaps(a: list[Polygon], b: list[Polygon]) -> np.ndarray:
     lo = np.maximum(ab[:, 0], bb[:, 0])
     hi = np.minimum(ab[:, 2], bb[:, 2])
     # Interpolated crossing ys leave a ring's box by at most a few ulps of
-    # its largest |y|; past a wider gap every interval overlap is negative.
+    # its largest |y|; past a wider gap every interval overlap is negative,
+    # so any larger tolerance (here the batch's largest |y|) changes nothing.
     y_gap = np.maximum(ab[:, 1], bb[:, 1]) - np.minimum(ab[:, 3], bb[:, 3])
-    y_tol = _EPS * (1.0 + np.maximum(np.abs(ab[:, 1::2]).max(axis=1), np.abs(bb[:, 1::2]).max(axis=1)))
+    y_tol = _EPS * (1.0 + max(np.abs(ab[:, 1::2]).max(), np.abs(bb[:, 1::2]).max()))
     live = np.flatnonzero((hi - lo > _EPS) & (y_gap <= y_tol))
     if len(live) == 0:
         return out
