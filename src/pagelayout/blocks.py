@@ -40,9 +40,8 @@ from .geometry import (
     _chunks,
     _edge_crossings,
     _pad_rows,
-    _points_in_ring,
     _ring_crossings,
-    _segment_distance,
+    _rings_hold,
     clip_to_page,
     convex_hull,
     offset_chains,
@@ -216,12 +215,12 @@ class _Fragment(NamedTuple):
         return TextLine(self.id, self.baseline, self.ascender, self.descender, self.outline())
 
 
-def _fragment_of(line: TextLine | _Fragment, chains: bool = True) -> _Fragment:
-    """``line`` as a fragment: a ``TextLine`` keeps its polygon; its chains, if ``chains``, are its baseline's offsets."""
+def _fragment_of(line: TextLine | _Fragment) -> _Fragment:
+    """``line`` as a fragment: a ``TextLine`` keeps its polygon, and its chains are its baseline's offsets."""
     if isinstance(line, _Fragment):
         return line
-    offsets = offset_chains(line.baseline.points, line.ascender, line.descender) if chains else None
-    by_x = tuple(c[np.argsort(c[:, 0], kind="stable")] for c in offsets) if chains else None
+    offsets = offset_chains(line.baseline.points, line.ascender, line.descender)
+    by_x = tuple(c[np.argsort(c[:, 0], kind="stable")] for c in offsets)
     x_extent, midpoint = line.polygon.bounds()[::2], baseline_midpoint(line.baseline)
     return _Fragment(line.id, line.baseline, line.ascender, line.descender, offsets, by_x, line.polygon, x_extent, midpoint)
 
@@ -233,9 +232,9 @@ def _clean_rings(rings: np.ndarray, pts: np.ndarray, h: int, w: int) -> np.ndarr
     where ``Polygon`` takes the ring without dropping a vertex (consecutive
     vertices apart, area clearly above zero, no crossing edge pair, each
     tested as ``Polygon`` tests it), the ring holds the baseline as
-    ``polygon_from_baseline`` tests it, and it lies on the [0, w] x [0, h]
-    page.  A ring whose area is only just above zero reads False and is
-    built the slow way, to the same polygon.
+    ``polygon_from_baseline`` tests it (:func:`_rings_hold`, 0.45 px), and
+    it lies on the [0, w] x [0, h] page.  A ring whose area is only just
+    above zero reads False and is built the slow way, to the same polygon.
     """
     nxt = np.concatenate([rings[:, 1:], rings[:, :1]], axis=1)
     ok = np.isfinite(rings).all(axis=(1, 2)) & (np.abs(nxt - rings) > _EPS).any(axis=2).all(axis=1)
@@ -243,15 +242,9 @@ def _clean_rings(rings: np.ndarray, pts: np.ndarray, h: int, w: int) -> np.ndarr
     ok &= np.abs(area) > 1e-6
     ok &= (rings.min(axis=1) >= 0).all(axis=1) & (rings[:, :, 0].max(axis=1) <= w) & (rings[:, :, 1].max(axis=1) <= h)
     idx = np.flatnonzero(ok)
-    per = max(1, _BATCH_ELEMENTS // (rings.shape[1] ** 2))
-    for a in range(0, len(idx), per):
-        k = idx[a : a + per]
-        ring, pk = rings[k], pts[k]
-        nxt = np.concatenate([ring[:, 1:], ring[:, :1]], axis=1)
-        # _contains_within(ring, baseline, 0.45): inside, or within 0.45 px of an edge
-        near = _segment_distance(pk[..., 0, None], pk[..., 1, None], ring[:, None], (nxt - ring)[:, None]).min(axis=2)
-        held = (_points_in_ring(ring, pk) | (near <= 0.45)).all(axis=1)
-        ok[k] = held & ~_ring_crossings(ring).any(axis=(1, 2))
+    for a, b in _chunks(np.full(len(idx), rings.shape[1] ** 2), _BATCH_ELEMENTS):
+        k = idx[a:b]
+        ok[k] = _rings_hold(rings[k], pts[k], 0.45) & ~_ring_crossings(rings[k]).any(axis=(1, 2))
     return ok
 
 
@@ -320,7 +313,7 @@ def _strip_sums(block: np.ndarray, chains: list[np.ndarray], spans: np.ndarray, 
     to ``spans[k, 1]``.  Its band rows at each column are those within
     ``thickness / 2`` of the chain, off-frame rows count 0, and its
     ``(depth, columns)`` block is laid out row by row, strips back to back
-    (in chunks of about ``_BATCH_ELEMENTS`` elements); each strip's float32
+    (in :func:`_chunks` of ``_BATCH_ELEMENTS``); each strip's float32
     sum over its contiguous slice is the sum of that block to the bit.
     """
     h = block.shape[0]
@@ -332,11 +325,8 @@ def _strip_sums(block: np.ndarray, chains: list[np.ndarray], spans: np.ndarray, 
     r0 = np.ceil(ys - half - 1e-9).astype(np.int64)
     r1 = np.floor(ys + half + 1e-9).astype(np.int64)
     sizes = (np.maximum.reduceat(r1 - r0, starts) + 1) * ncols
-    ends = np.cumsum(sizes)
     out = np.zeros(len(chains))
-    a = 0
-    while a < len(chains):
-        b = max(a + 1, int(np.searchsorted(ends, ends[a] - sizes[a] + _BATCH_ELEMENTS, side="right")))
+    for a, b in _chunks(sizes, _BATCH_ELEMENTS):
         size = sizes[a:b]
         offsets = np.cumsum(size) - size
         local = np.arange(size.sum()) - np.repeat(offsets, size)  # row * columns + column, in its strip
@@ -346,7 +336,6 @@ def _strip_sums(block: np.ndarray, chains: list[np.ndarray], spans: np.ndarray, 
         valid = (rows <= r1[at]) & (rows >= 0) & (rows < h)
         vals = np.where(valid, block[np.clip(rows, 0, h - 1), cols[at]], 0.0)
         out[a:b] = [vals[o : o + n].sum() for o, n in zip(offsets, size)]
-        a = b
     return out
 
 
@@ -487,11 +476,12 @@ def merge_block_lines(
     ``merge_y_tolerance`` x min height and their horizontal gap within
     ``merge_x_gap`` x min height.  With the lines sorted by (left baseline
     x, id), the first qualifying pair (i, j) in row-major order merges until
-    no pair qualifies (a fixpoint).  The merged line starts where line i
-    does and keeps its id, hence its sort key: it takes slot i, and slot j
-    empties.  A merged baseline is resampled to at most
-    ``max_control_points`` points.  Reads only ``block.id`` and
-    ``block.lines``; returns ``block`` if nothing merges.
+    no pair qualifies (a fixpoint); a pair whose merged baseline would not
+    have two distinct points (lines on one vertical) does not qualify.  The
+    merged line starts where line i does and keeps its id, hence its sort
+    key: it takes slot i, and slot j empties.  A merged baseline is
+    resampled to at most ``max_control_points`` points.  Reads only
+    ``block.id`` and ``block.lines``; returns ``block`` if nothing merges.
 
     The pair test depends only on the two lines, so the condition matrix
     (its upper triangle) is built once; a merge recomputes row and column i
@@ -505,7 +495,7 @@ def merge_block_lines(
     if len(block.lines) < 2:
         return block
     given = sorted(block.lines, key=lambda ln: (_x_range(ln.baseline)[0], ln.id))
-    lines = [_fragment_of(ln, chains=False) for ln in given]  # merging reads no chain
+    lines = [_fragment_of(ln) for ln in given]
     baselines = [ln.baseline for ln in lines]
     heights = np.array([(ln.ascender, ln.descender) for ln in lines])
     cols = np.array([(*_x_range(ln.baseline), ln.midpoint[1], ln.height) for ln in lines])
@@ -517,7 +507,11 @@ def merge_block_lines(
         i, j = divmod(int(cond.argmax()), len(lines))
         if not cond[i, j]:
             break
-        baselines[i] = _merge_pair(baselines[i], baselines[j], max_control_points)
+        try:
+            baselines[i] = _merge_pair(baselines[i], baselines[j], max_control_points)
+        except ValueError:  # no two distinct points: the pair does not qualify
+            cond[i, j] = False
+            continue
         heights[i] = pick(heights[i], heights[j])
         merged[i] = True
         live[j] = False

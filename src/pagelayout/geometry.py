@@ -159,14 +159,25 @@ def _segment_distance(x, y, p, d) -> np.ndarray:
     return np.hypot(x - (px + t * dx), y - (py + t * dy))
 
 
+def _rings_hold(rings: np.ndarray, pts: np.ndarray, tol: float) -> np.ndarray:
+    """(K,) whether every point of ``pts[k]`` lies inside ``rings[k]`` or within ``tol`` of its boundary.
+
+    ``rings`` is a (K, m, 2) stack and ``pts`` a (K, n, 2) one.  Even-odd
+    containment runs over all points; the edge distance only over the
+    points outside their ring.
+    """
+    held = _points_in_ring(rings, pts)
+    k, i = np.nonzero(~held)
+    if len(k):
+        ring, q = rings[k], pts[k, i]
+        edges = np.concatenate([ring[:, 1:], ring[:, :1]], axis=1) - ring
+        held[k, i] = _segment_distance(q[:, :1], q[:, 1:], ring, edges).min(axis=1) <= tol
+    return held.all(axis=1)
+
+
 def _contains_within(polygon: Polygon, pts: np.ndarray, tol: float) -> bool:
-    """Whether every point lies inside the polygon or within ``tol`` of its boundary."""
-    ring = polygon.ring
-    outside = pts[~_points_in_ring(ring, pts)]
-    if not len(outside):
-        return True
-    dist = _segment_distance(outside[:, 0, None], outside[:, 1, None], ring, _next(ring) - ring).min(axis=1)
-    return not (dist > tol).any()
+    """Whether every point lies inside the polygon or within ``tol`` of its boundary: one ring of :func:`_rings_hold`."""
+    return bool(_rings_hold(polygon.ring[None], pts[None], tol)[0])
 
 
 def _vertex_up_normals(points: np.ndarray) -> np.ndarray:
@@ -239,13 +250,11 @@ _BATCH_ELEMENTS = 1 << 18
 
 def _chunks(sizes: np.ndarray, budget: int):
     """Consecutive ``(a, b)`` ranges over ``sizes``, each with ``(b - a) * max(sizes[a:b])`` (its rows padded
-    to the longest) within ``budget``, or of one item."""
-    if len(sizes) and len(sizes) * int(sizes.max()) <= budget:
-        yield 0, len(sizes)
-        return
+    to the longest) within ``budget``, or of one item: the package's one chunk rule."""
     a = 0
     while a < len(sizes):
-        window = sizes[a : a + budget]  # sizes are >= 1, so no chunk holds more than ``budget`` items
+        # items of size >= 1 fit at most ``budget`` to a chunk; zero-size ones are capped at that count too
+        window = sizes[a : a + budget]
         padded = np.maximum.accumulate(window) * np.arange(1, len(window) + 1)
         b = a + max(1, int(np.searchsorted(padded, budget, side="right")))
         yield a, b
@@ -262,8 +271,6 @@ def _pad_rows(rows: np.ndarray, values: np.ndarray, n_rows: int, fill: float) ->
 
 def _ring_edges(rings: list[np.ndarray]) -> np.ndarray:
     """(K, E, 4) edge endpoints ``x1, y1, x2, y2`` of K rings; NaN pads the shorter rings."""
-    if len(rings) == 1:
-        return np.hstack([rings[0], _next(rings[0])])[None]
     lens = np.array([len(r) for r in rings])
     starts = np.cumsum(lens) - lens
     nxt = np.arange(1, lens.sum() + 1)
@@ -275,7 +282,7 @@ def _ring_edges(rings: list[np.ndarray]) -> np.ndarray:
 def _crossing_xs(a_edges: np.ndarray, b_edges: np.ndarray) -> np.ndarray:
     """(K, C) x coordinates where the edges of ring pair k cross, taken along the ``a`` edge; NaN pads.
 
-    Each side is a (K, E, 4) stack of :func:`_ring_edges`, or (1, E, 4) for one ring in every pair.
+    Each side is a (K, E, 4) stack of :func:`_ring_edges`.
     """
     p1 = a_edges[:, :, None, :2]
     r = a_edges[:, :, None, 2:] - p1
@@ -287,7 +294,7 @@ def _crossing_xs(a_edges: np.ndarray, b_edges: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         t = (dx * s[..., 1] - dy * s[..., 0]) / denom
     k, i, j = np.nonzero((np.abs(denom) > _EPS) & (t >= -_EPS) & (t <= 1 + _EPS))
-    edge = i if len(a_edges) == 1 else k * a_edges.shape[1] + i  # the a edge's row in the flat stack
+    edge = k * a_edges.shape[1] + i  # the a edge's row in the flat stack
     r = np.take(r.reshape(-1, 2), edge, axis=0)  # np.take: row gathers by fancy index are many times slower
     t, d = t[k, i, j], denom[k, i, j]
     u = (dx[k, i, j] * r[:, 1] - dy[k, i, j] * r[:, 0]) / d
@@ -299,22 +306,18 @@ def _crossing_xs(a_edges: np.ndarray, b_edges: np.ndarray) -> np.ndarray:
 def _slab_intervals(edges: np.ndarray, xm: np.ndarray, owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inside-intervals of a ring on the vertical line through each slab midpoint.
 
-    ``edges`` is a (K, E, 4) stack of :func:`_ring_edges`, or (1, E, 4)
-    for one ring in every pair; slab n has its midpoint at ``xm[n]`` and
-    lies in pair ``owner[n]``.  Returns (N, C) interval starts and ends:
-    the sorted edge-crossing ys at even and odd positions, padded with +inf
-    starts and -inf ends, so an overlap with a pad is -inf.  Midpoints
-    never coincide with vertex abscissae, so every edge either strictly
-    straddles a midpoint or misses it, and a closed ring crosses each
-    midpoint an even number of times.
+    ``edges`` is a (K, E, 4) stack of :func:`_ring_edges`; slab n has its
+    midpoint at ``xm[n]`` and lies in pair ``owner[n]``.  Returns (N, C)
+    interval starts and ends: the sorted edge-crossing ys at even and odd
+    positions, padded with +inf starts and -inf ends, so an overlap with a
+    pad is -inf.  Midpoints never coincide with vertex abscissae, so every
+    edge either strictly straddles a midpoint or misses it, and a closed
+    ring crosses each midpoint an even number of times.
     """
-    x_lo = np.minimum(edges[..., 0], edges[..., 2])
-    x_hi = np.maximum(edges[..., 0], edges[..., 2])
-    if len(edges) > 1:
-        x_lo, x_hi = np.take(x_lo, owner, axis=0), np.take(x_hi, owner, axis=0)
+    x_lo = np.take(np.minimum(edges[..., 0], edges[..., 2]), owner, axis=0)
+    x_hi = np.take(np.maximum(edges[..., 0], edges[..., 2]), owner, axis=0)
     n, e = np.nonzero((x_lo < xm[:, None]) & (xm[:, None] < x_hi))
-    edge = e if len(edges) == 1 else owner[n] * edges.shape[1] + e
-    x1, y1, x2, y2 = np.take(edges.reshape(-1, 4), edge, axis=0).T
+    x1, y1, x2, y2 = np.take(edges.reshape(-1, 4), owner[n] * edges.shape[1] + e, axis=0).T
     ys = y1 + (xm[n] - x1) / (x2 - x1) * (y2 - y1)
     order = np.lexsort((ys, n))
     grid = _pad_rows(n[order], ys[order], len(xm), np.inf)
@@ -325,10 +328,15 @@ def _slab_intervals(edges: np.ndarray, xm: np.ndarray, owner: np.ndarray) -> tup
 
 
 def _pair_up(a, b) -> tuple[list[Polygon], list[Polygon]]:
-    """Both sides of a pairwise call as lists: of one length, or of one polygon that every pair shares."""
-    la = [a] if isinstance(a, Polygon) else list(a)
-    lb = [b] if isinstance(b, Polygon) else list(b)
-    if not isinstance(a, Polygon) and not isinstance(b, Polygon) and len(la) != len(lb):
+    """Both sides of a pairwise call as lists of one length, a lone polygon repeated once per item of the other side."""
+    if isinstance(a, Polygon):
+        lb = list(b)
+        return [a] * len(lb), lb
+    if isinstance(b, Polygon):
+        la = list(a)
+        return la, [b] * len(la)
+    la, lb = list(a), list(b)
+    if len(la) != len(lb):
         raise ValueError(f"polygon sequences of unequal lengths {len(la)} and {len(lb)}")
     return la, lb
 
@@ -342,7 +350,8 @@ def intersection_area(a: Polygon | Sequence[Polygon], b: Polygon | Sequence[Poly
 
     Either side may also be a sequence of polygons: two sequences of one
     length are taken pair by pair, and a single polygon on one side is
-    paired with each polygon of the other.  The result is then a float64
+    paired with each polygon of the other (repeated where the call enters,
+    so every call runs the one pairwise path).  The result is then a float64
     array with one area per pair, each equal to the single-pair result to
     the last bit (the same abscissae, midpoints, widths and crossings;
     interval pairs and then slabs summed left to right), whatever the
@@ -356,11 +365,10 @@ def intersection_area(a: Polygon | Sequence[Polygon], b: Polygon | Sequence[Poly
 
 
 def _overlaps(a: list[Polygon], b: list[Polygon]) -> np.ndarray:
-    """Overlap of each pair ``(a[k], b[k])``, a one-item side shared by every pair; pairs in chunks of
-    about ``_BATCH_ELEMENTS`` elements, each chunk's slabs side by side on a padded axis."""
-    n = max(len(a), len(b)) if a and b else 0
-    out = np.zeros(n)
-    if n == 0:
+    """Overlap of each pair ``(a[k], b[k])`` of two lists of one length; pairs in chunks of about
+    ``_BATCH_ELEMENTS`` elements, each chunk's slabs side by side on a padded axis."""
+    out = np.zeros(len(a))
+    if not a:
         return out
     ab = np.array([p.bounds() for p in a])
     bb = np.array([p.bounds() for p in b])
@@ -372,34 +380,19 @@ def _overlaps(a: list[Polygon], b: list[Polygon]) -> np.ndarray:
     y_gap = np.maximum(ab[:, 1], bb[:, 1]) - np.minimum(ab[:, 3], bb[:, 3])
     y_tol = _EPS * (1.0 + max(np.abs(ab[:, 1::2]).max(), np.abs(bb[:, 1::2]).max()))
     live = np.flatnonzero((hi - lo > _EPS) & (y_gap <= y_tol))
-    if len(live) == 0:
-        return out
-    rings_a = [a[0].ring] if len(a) == 1 else [a[k].ring for k in live]
-    rings_b = [b[0].ring] if len(b) == 1 else [b[k].ring for k in live]
-    sizes = (np.array([len(r) for r in rings_a]) + np.array([len(r) for r in rings_b])) ** 2
-    shared_a = _ring_edges(rings_a) if len(a) == 1 else None
-    shared_b = _ring_edges(rings_b) if len(b) == 1 else None
+    rings_a = [a[k].ring for k in live]
+    rings_b = [b[k].ring for k in live]
+    sizes = np.array([(len(p) + len(q)) ** 2 for p, q in zip(rings_a, rings_b)], dtype=np.int64)
     for c0, c1 in _chunks(sizes, _BATCH_ELEMENTS):
-        a_edges = _ring_edges(rings_a[c0:c1]) if shared_a is None else shared_a
-        b_edges = _ring_edges(rings_b[c0:c1]) if shared_b is None else shared_b
         ks = live[c0:c1]
-        out[ks] = _slab_areas(a_edges, b_edges, lo[ks, None], hi[ks, None])
+        out[ks] = _slab_areas(_ring_edges(rings_a[c0:c1]), _ring_edges(rings_b[c0:c1]), lo[ks, None], hi[ks, None])
     return out
 
 
 def _slab_areas(a_edges: np.ndarray, b_edges: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Overlap of K ring pairs (see :func:`_crossing_xs`) whose boxes share the x range ``lo``-``hi`` ((K, 1) each)."""
     out = np.zeros(len(lo))
-    xs = np.concatenate(
-        [
-            a_edges[:, :, 0].repeat(len(lo) // len(a_edges), axis=0),  # a shared ring's, once per pair
-            b_edges[:, :, 0].repeat(len(lo) // len(b_edges), axis=0),
-            _crossing_xs(a_edges, b_edges),
-            lo,
-            hi,
-        ],
-        axis=1,
-    )
+    xs = np.concatenate([a_edges[:, :, 0], b_edges[:, :, 0], _crossing_xs(a_edges, b_edges), lo, hi], axis=1)
     # Sorted with repeats (NaN pads last): a repeat gives a zero-width slab,
     # which the width test drops, so the slabs are those of np.unique.
     xs = np.sort(np.clip(xs, lo, hi), axis=1)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._raster import sample_polylines
-from .geometry import _BATCH_ELEMENTS, Polygon, Polyline, _segment_distance, polygon_iou
+from .geometry import _BATCH_ELEMENTS, Polygon, Polyline, _chunks, _segment_distance, polygon_iou
 from .layout import PageLayout
 
 DEFAULT_IOU_THRESHOLD = 0.7
@@ -46,10 +46,10 @@ def _coverage(sources: list[Polyline], targets: list[Polyline], tolerance: float
     row-major; a segment's bounding box grown by the tolerance covers, in
     each of its cell rows, one contiguous run of them, found by binary
     search.  The exact box filter and the point-segment distance then run
-    over every pair of every run, in chunks of about ``_BATCH_ELEMENTS``
-    pairs.  The cells a box touches hold every sample inside it, and the
-    box every sample the distance can accept, so the result equals testing
-    all sample-segment pairs.
+    over every pair of every run, the runs (some empty) in :func:`_chunks`
+    of ``_BATCH_ELEMENTS`` pairs.  The cells a box touches hold every
+    sample inside it, and the box every sample the distance can accept, so
+    the result equals testing all sample-segment pairs.
     """
     if not targets:
         return 0.0
@@ -82,9 +82,7 @@ def _coverage(sources: list[Polyline], targets: list[Polyline], tolerance: float
     run_ends = np.cumsum(size)
     (lo_x, lo_y), (hi_x, hi_y) = lo.T, hi.T
     covered = np.zeros(len(pts), dtype=bool)
-    a = 0
-    while a < len(size):
-        b = max(a + 1, int(np.searchsorted(run_ends, run_ends[a] - size[a] + _BATCH_ELEMENTS, side="right")))
+    for a, b in _chunks(size, _BATCH_ELEMENTS):
         k = np.repeat(seg[a:b], size[a:b])
         at = np.repeat(start[a:b] - (run_ends[a:b] - size[a:b]), size[a:b]) + np.arange(run_ends[a] - size[a], run_ends[b - 1])
         q = order[at]
@@ -93,7 +91,6 @@ def _coverage(sources: list[Polyline], targets: list[Polyline], tolerance: float
         k, q = k[inside], q[inside]
         dist = _segment_distance(x[inside], y[inside], np.take(p, k, axis=0), np.take(d, k, axis=0))
         covered[q[dist <= tolerance]] = True
-        a = b
     return float(covered.mean())
 
 

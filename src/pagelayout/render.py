@@ -92,13 +92,8 @@ def render_orientation_gt(layout: PageLayout) -> OrientationMaps:
             pts = line.baseline.points
             deltas = np.diff(pts, axis=0)
             units = deltas / np.hypot(deltas[:, 0], deltas[:, 1])[:, None]
-            best_d = np.full(rows.shape, np.inf)
-            best_i = np.zeros(rows.shape, dtype=np.int64)
-            for i, (p, dvec) in enumerate(zip(pts[:-1], deltas)):
-                d = _segment_distance(cols, rows, p, dvec)
-                closer = d < best_d
-                best_d[closer] = d[closer]
-                best_i[closer] = i
+            # each pixel takes the direction of its nearest segment, the first one on a tie
+            best_i = _segment_distance(cols[:, None], rows[:, None], pts[:-1], deltas).argmin(axis=1)
             ox[rows, cols] = units[best_i, 0].astype(np.float32)
             oy[rows, cols] = units[best_i, 1].astype(np.float32)
             filled[sl] |= mask

@@ -6,12 +6,15 @@ from pagelayout.blocks import block_polygon, polygon_from_baseline
 from pagelayout.geometry import (
     Polygon,
     Polyline,
+    _chunks,
     _contains_within,
+    _rings_hold,
     _segment_distance,
     alpha_shape,
     clip_to_page,
     convex_hull,
     intersection_area,
+    offset_chains,
     polygon_iou,
     rotate90_points,
     rotated_size,
@@ -327,6 +330,31 @@ class TestPairwiseKernel:
         assert len(list(pagelayout.geometry._chunks(np.array([len(p.ring) + len(q.ring) for p, q in pairs]) ** 2, 500))) > 50
 
 
+class TestChunks:
+    def test_ranges_are_greedy_within_the_padded_budget(self):
+        """Consecutive ranges cover every item; each is one item or fits the budget padded to its longest
+        row, and takes the next item only if that still fits (zero-size items too, at most ``budget``)."""
+        rng = np.random.default_rng(34)
+        budget = 60
+        inputs = [
+            np.array([], dtype=np.int64),
+            np.full(25, 7),
+            rng.integers(1, 40, 200),
+            np.array([3, 100, 2, 61, 1, 60, 0]),  # items past the budget stand alone
+            rng.integers(0, 3, 300) * rng.integers(0, 20, 300),  # zero-size runs, as coverage passes them
+            np.zeros(150, dtype=np.int64),
+        ]
+        for sizes in inputs:
+            ranges = list(_chunks(sizes, budget))
+            bounds = [0] + [b for _, b in ranges]
+            assert [a for a, _ in ranges] == bounds[:-1] and bounds[-1] == len(sizes)
+            for a, b in ranges:
+                assert b - a == 1 or (b - a) * sizes[a:b].max() <= budget
+                assert b - a <= budget
+                if b < len(sizes) and b - a < budget:
+                    assert (b - a + 1) * sizes[a : b + 1].max() > budget
+
+
 class TestStoredBounds:
     def test_bounds_are_the_ring_extremes(self):
         for a, b in random_pairs(27, 50):
@@ -409,6 +437,19 @@ class TestSharedContainment:
                 if not _contains_within(poly, one, 0.0):  # outside: the helper's distance is exactly dk
                     assert _contains_within(poly, one, dk)
                     assert not _contains_within(poly, one, np.nextafter(dk, -np.inf))
+
+    def test_ring_stacks_equal_one_ring_calls(self):
+        """``_rings_hold`` over a stack of offset rings gives each ring's one-ring result."""
+        rng = np.random.default_rng(46)
+        for n in (2, 3, 5):
+            base = np.stack([np.cumsum(rng.uniform(2, 20, (40, n)), axis=1), 60 + rng.uniform(-9, 9, (40, n))], axis=2)
+            top, bottom = offset_chains(base, rng.uniform(1, 12, (40, 1, 1)), rng.uniform(0, 5, (40, 1, 1)))
+            rings = np.concatenate([top, bottom[:, ::-1]], axis=1)
+            pts = np.concatenate([base, base + rng.uniform(-1.5, 1.5, base.shape)], axis=1)
+            for tol, oracle in ((0.45, cleaned_ring_contains_oracle), (0.5, textline_contains_oracle)):
+                got = _rings_hold(rings, pts, tol)
+                assert got.shape == (40,) and 0 < got.sum() < 40
+                assert list(got) == [oracle(r, p) for r, p in zip(rings, pts)]
 
 
 class TestAlphaShape:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pickle
 import warnings
@@ -13,7 +14,11 @@ from pagelayout.layout import (
     save_layout,
     sort_reading_order,
 )
-from pagelayout.synth import SynthConfig, generate
+from pagelayout.blocks import extract_page
+from pagelayout.channels import rotate_maps
+from pagelayout.orient import detect_multi_orientation
+from pagelayout.render import render_gt, render_orientation_gt
+from pagelayout.synth import SynthConfig, corrupt, generate
 
 from conftest import make_block, make_line, make_page
 
@@ -208,3 +213,38 @@ class TestPartition:
             layout = generate(SynthConfig(seed=seed, page_size=(384, 512)))
             ids = [ln.id for ln in layout.lines()]
             assert len(ids) == len(set(ids))
+
+
+# sha256 of ``save_layout`` of detected pages.  These pins guard the output
+# bytes of the whole pipeline; they move only in a change that says why its
+# output changes.
+OUTPUT_PINS = {
+    ("clean", 0): "9ab6512b86477ef274ea8aac216ea5a7902537ae5a294e8c78cc944da3229859",
+    ("clean", 1): "85e759e068df459c83e2ad992809cf992b1a7573ace43913b9151411ce45bbda",
+    ("noisy", 0): "ff341d40dec049b15d5e91d98fc9107237822f46ec59d7a5459aad0059a3a9fb",
+    ("noisy", 1): "e93fb2ce51c9cdf83b23575a7f22567e2a78bcf3da933ab2baea5518cfda257e",
+    ("multi", 3): "62a2fa99eea04e604b4037c674c3d770531b862f266481c916349d0be8647f5c",
+    ("multi", 10): "4664dea6c45b12b4a537cdcf1880d28e467764b8a1564bfa4f13bbeaac541e46",
+}
+
+
+def detected_page(kind: str, seed: int) -> PageLayout:
+    """``extract_page`` of a clean or a noisy (criterion-2 corruption) page, or ``detect_multi_orientation``
+    of a page with vertical lines."""
+    if kind == "multi":
+        gt = generate(SynthConfig(seed=seed, vertical_line_prob=0.3))
+        maps = render_gt(gt)
+        return detect_multi_orientation({0: maps, 1: rotate_maps(maps, 1), 3: rotate_maps(maps, 3)}, render_orientation_gt(gt))
+    maps = render_gt(generate(SynthConfig(seed=seed)))
+    if kind == "noisy":
+        maps = corrupt(maps, 0.1, 3, 0.05, rng_seed=seed)
+    return extract_page(maps)
+
+
+class TestOutputPins:
+    @pytest.mark.parametrize("kind, seed", list(OUTPUT_PINS), ids=[f"{k}-{s}" for k, s in OUTPUT_PINS])
+    def test_layout_bytes_are_pinned(self, kind, seed):
+        page = detected_page(kind, seed)
+        if kind == "multi":  # the page has vertical lines, found in a rotated frame
+            assert any(np.ptp(ln.baseline.points[:, 1]) > np.ptp(ln.baseline.points[:, 0]) for ln in page.lines())
+        assert hashlib.sha256(save_layout(page)).hexdigest() == OUTPUT_PINS[kind, seed]

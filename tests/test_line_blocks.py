@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 
 import numpy as np
@@ -335,6 +336,15 @@ class TestMergeBlockLines:
         block = make_block("b0", [f0, f1])
         assert len(merge_block_lines(block, (48, 64), BlockParams()).lines) == 2
 
+    def test_pair_on_one_vertical_does_not_merge(self):
+        """Two lines whose merged baseline would be a single point qualify by position but stay apart."""
+        a, b = (
+            TextLine(i, Polyline(pts), 6.0, 2.0, polygon_from_baseline(np.array(pts, float), 6.0, 2.0))
+            for i, pts in (("a", [[20, 10], [20, 30]]), ("b", [[20, 12], [20, 28]]))
+        )
+        block = LineGroup("b0", [a, b])
+        assert merge_block_lines(block, (80, 80)) is block
+
 
 def fragment_chain_block(rng, n):
     """Fragments of 1-3 text rows, some tilted or with several control points, some sharing a left x."""
@@ -473,6 +483,23 @@ class TestExtractPage:
             detect_multi_orientation({t: rotate_maps(maps, t) for t in (0, 1, 3)}, OrientationMaps(ones, zeros), *params),
         ):
             assert [ln.baseline.points[0, 1] for ln in pred.lines()] == ([20.0] if with_row_below else [])
+
+    def test_small_chunks_equal_one_chunk(self, monkeypatch):
+        """Ring checks, penalty strips and heights split into many chunks give the one-chunk layout bytes."""
+        pages = [corrupt(render_gt(generate(SynthConfig(seed=s))), 0.1, 3, 0.05, rng_seed=s) for s in range(2)]
+        want = [save_layout(extract_page(maps)) for maps in pages]
+        chunks, most_chunks = pagelayout.blocks._chunks, {}
+
+        def counted_chunks(sizes, budget):
+            ranges = list(chunks(sizes, budget))
+            caller = sys._getframe(1).f_code.co_name
+            most_chunks[caller] = max(most_chunks.get(caller, 0), len(ranges))
+            return ranges
+
+        monkeypatch.setattr(pagelayout.blocks, "_BATCH_ELEMENTS", 300)
+        monkeypatch.setattr(pagelayout.blocks, "_chunks", counted_chunks)
+        assert [save_layout(extract_page(maps)) for maps in pages] == want
+        assert min(most_chunks[f] for f in ("_heights", "_clean_rings", "_strip_sums")) > 10
 
 
 def hull_of_lines(block):
