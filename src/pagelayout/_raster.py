@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import _BATCH_ELEMENTS, _chunks, _next, _pad_rows, _segment_distance
+from .geometry import _chunks, _next, _pad_rows, _segment_distance
 
 
 Window = tuple[slice, slice]
@@ -104,11 +104,11 @@ def sample_polylines(polylines: list[np.ndarray], step: float) -> tuple[np.ndarr
     cumulative lengths at ``np.arange(0.0, total, step)``, and at ``total``
     unless the last of those lies within 1e-9 of it, to the bit.  The
     lengths are summed left to right per polyline, as rows of a
-    zero-padded array (polylines in chunks of about ``_BATCH_ELEMENTS``
-    elements).  Each sample ``i * step`` takes the segment from the last
-    point at or before it, found per point rather than per sample, and is
-    interpolated by np.interp's rule: a sample on a point, or at or past
-    the end, is that point.
+    zero-padded array (polylines in :func:`_chunks`).  Each sample
+    ``i * step`` takes the segment from the last point at or before it,
+    found per point rather than per sample, and is interpolated by
+    np.interp's rule: a sample on a point, or at or past the end, is that
+    point.
     """
     if not len(polylines):
         return np.zeros((0, 2)), np.zeros(0, dtype=np.int64)
@@ -122,7 +122,7 @@ def sample_polylines(polylines: list[np.ndarray], step: float) -> tuple[np.ndarr
     run = np.concatenate([[0.0], np.hypot(*np.diff(xy, axis=0).T)])  # arc length from the point before
     run[first] = 0.0
     cum = np.zeros(len(xy))
-    for a, b in _chunks(n_pts, _BATCH_ELEMENTS):
+    for a, b in _chunks(n_pts):
         at = slice(first[a], last[b - 1] + 1)
         cum[at] = np.cumsum(_pad_rows(line[at] - a, run[at], b - a, 0.0), axis=1)[line[at] - a, slot[at]]
     total = cum[last]

@@ -1,7 +1,7 @@
 """Seeded pseudo-random numbers from the splitmix64 sequence.
 
 The generator is pinned to a fixed algorithm (rather than a library
-generator) so fixtures reproduce bit-identically anywhere:
+generator) so fixtures reproduce across platforms:
 
     state_i = (seed + i * 0x9E3779B97F4A7C15) mod 2**64       for i = 1, 2, ...
     u64_i   = mix(state_i)
@@ -12,8 +12,9 @@ where ``mix`` is the splitmix64 finalizer
     z ^= z >> 27;  z *= 0x94D049BB133111EB
     z ^= z >> 31
 
-Uniform doubles take the top 53 bits: u64 >> 11 times 2**-53.  Normal
-deviates come from the Box-Muller transform on consecutive uniform pairs.
+Uniform doubles take the top 53 bits: u64 >> 11 times 2**-53; both are
+exact integer arithmetic, bit-identical anywhere.  Normal deviates come from
+the Box-Muller transform and follow numpy's float64 log, sqrt, cos and sin.
 
 Array draws evaluate the same counter formula block-wise: ``BLOCK``
 counters at a time into small reused buffers, so an array of n draws takes
@@ -21,8 +22,6 @@ the same values and advances the counter by the same n as n scalar draws.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -108,11 +107,6 @@ class Rng:
         if hi < lo:
             raise ValueError("empty range")
         return lo + self.u64() % (hi - lo + 1)
-
-    def normal(self) -> float:
-        u1 = max(self.uniform(), 2.0**-53)
-        u2 = self.uniform()
-        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
     def _take(self, n: int) -> int:
         """Reserve the next n counters; returns the first."""

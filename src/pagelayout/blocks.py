@@ -32,13 +32,12 @@ from ._raster import polyline_pixels
 from .baselines import ExtractParams, detect_baselines
 from .channels import ChannelMaps
 from .geometry import (
-    _BATCH_ELEMENTS,
     _EPS,
     Polygon,
     Polyline,
     _contains_within,
     _chunks,
-    _edge_crossings,
+    _on_page,
     _pad_rows,
     _ring_crossings,
     _rings_hold,
@@ -83,27 +82,17 @@ def nearest_rank_percentile(values, pct: float) -> float:
 def _drop_self_intersections(ring: np.ndarray) -> np.ndarray:
     """Remove vertices until the ring is simple (best-effort cleaning).
 
-    Takes the first crossing edge pair (i, j), i < j in row-major order,
-    drops vertex j + 1 and repeats, at most ``len(ring)`` times and never
-    below 3 vertices.  A drop merges the two edges at that vertex into one,
-    so the crossing matrix loses that row and column and only the merged
-    edge's row and column are recomputed; the other pairs keep their
-    endpoints and hence their entries.
+    Takes the first crossing edge pair (i, j), i < j in row-major order of
+    :func:`_ring_crossings`, drops vertex j + 1 and repeats, at most
+    ``len(ring)`` times and never below 3 vertices.
     """
     work = ring
-    cross = _ring_crossings(work)
     for _ in range(len(ring)):
-        n = len(work)
-        # cross is symmetric, so its first True in row-major order has i < j
-        first = int(cross.argmax())
-        if n <= 3 or not cross.flat[first]:
+        cross = _ring_crossings(work)
+        first = int(cross.argmax())  # cross is symmetric, so its first True in row-major order has i < j
+        if len(work) <= 3 or not cross.flat[first]:
             break
-        dropped = (first % n + 1) % n
-        keep = np.arange(n) != dropped
-        work = work[keep]
-        cross = cross[keep][:, keep]
-        merged = (dropped - 1) % len(work)
-        cross[merged] = cross[:, merged] = _edge_crossings(work, merged)
+        work = np.delete(work, (first % len(work) + 1) % len(work), axis=0)
     return work
 
 
@@ -139,7 +128,7 @@ def _heights(baselines: list[Polyline], maps: ChannelMaps, pct: float) -> tuple[
     with no pixel on the page has none.
 
     Each baseline's values are sorted in one row of a +inf-padded array,
-    baselines in chunks of about ``_BATCH_ELEMENTS`` elements.
+    baselines in :func:`_chunks`.
     """
     rows, cols, counts = polyline_pixels([bl.points for bl in baselines], maps.shape)
     on_page = counts > 0
@@ -150,7 +139,7 @@ def _heights(baselines: list[Polyline], maps: ChannelMaps, pct: float) -> tuple[
     heights = np.zeros((2, len(counts)))
     for c, plane in enumerate((maps.asc, maps.des)):
         values = plane[rows, cols].astype(np.float64)
-        for a, b in _chunks(counts, _BATCH_ELEMENTS):
+        for a, b in _chunks(counts):
             at = slice(ends[a] - counts[a], ends[b - 1])
             grid = _pad_rows(line[at] - a, values[at], b - a, np.inf)
             grid.sort(axis=1)
@@ -233,16 +222,16 @@ def _clean_rings(rings: np.ndarray, pts: np.ndarray, h: int, w: int) -> np.ndarr
     vertices apart, area clearly above zero, no crossing edge pair, each
     tested as ``Polygon`` tests it), the ring holds the baseline as
     ``polygon_from_baseline`` tests it (:func:`_rings_hold`, 0.45 px), and
-    it lies on the [0, w] x [0, h] page.  A ring whose area is only just
+    it lies on the page (:func:`_on_page`).  A ring whose area is only just
     above zero reads False and is built the slow way, to the same polygon.
     """
     nxt = np.concatenate([rings[:, 1:], rings[:, :1]], axis=1)
     ok = np.isfinite(rings).all(axis=(1, 2)) & (np.abs(nxt - rings) > _EPS).any(axis=2).all(axis=1)
     area = (rings[:, :, 0] * nxt[:, :, 1] - rings[:, :, 1] * nxt[:, :, 0]).sum(axis=1) / 2.0
     ok &= np.abs(area) > 1e-6
-    ok &= (rings.min(axis=1) >= 0).all(axis=1) & (rings[:, :, 0].max(axis=1) <= w) & (rings[:, :, 1].max(axis=1) <= h)
+    ok &= _on_page(*rings.min(axis=1).T, *rings.max(axis=1).T, h, w)
     idx = np.flatnonzero(ok)
-    for a, b in _chunks(np.full(len(idx), rings.shape[1] ** 2), _BATCH_ELEMENTS):
+    for a, b in _chunks(np.full(len(idx), rings.shape[1] ** 2)):
         k = idx[a:b]
         ok[k] = _rings_hold(rings[k], pts[k], 0.45) & ~_ring_crossings(rings[k]).any(axis=(1, 2))
     return ok
@@ -313,8 +302,8 @@ def _strip_sums(block: np.ndarray, chains: list[np.ndarray], spans: np.ndarray, 
     to ``spans[k, 1]``.  Its band rows at each column are those within
     ``thickness / 2`` of the chain, off-frame rows count 0, and its
     ``(depth, columns)`` block is laid out row by row, strips back to back
-    (in :func:`_chunks` of ``_BATCH_ELEMENTS``); each strip's float32
-    sum over its contiguous slice is the sum of that block to the bit.
+    (in :func:`_chunks`); each strip's float32 sum over its contiguous
+    slice is the sum of that block to the bit.
     """
     h = block.shape[0]
     half = thickness / 2.0
@@ -326,7 +315,7 @@ def _strip_sums(block: np.ndarray, chains: list[np.ndarray], spans: np.ndarray, 
     r1 = np.floor(ys + half + 1e-9).astype(np.int64)
     sizes = (np.maximum.reduceat(r1 - r0, starts) + 1) * ncols
     out = np.zeros(len(chains))
-    for a, b in _chunks(sizes, _BATCH_ELEMENTS):
+    for a, b in _chunks(sizes):
         size = sizes[a:b]
         offsets = np.cumsum(size) - size
         local = np.arange(size.sum()) - np.repeat(offsets, size)  # row * columns + column, in its strip

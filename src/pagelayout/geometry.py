@@ -126,13 +126,6 @@ def _ring_crossings(ring: np.ndarray) -> np.ndarray:
     return s & np.swapaxes(s, -1, -2)
 
 
-def _edge_crossings(ring: np.ndarray, k: int) -> np.ndarray:
-    """Row ``k`` of :func:`_ring_crossings`, computed alone."""
-    nxt = _next(ring)
-    e = nxt - ring
-    return _straddles(ring[k], nxt[k], ring, e) & _straddles(ring, nxt, ring[k], e[k])
-
-
 def _points_in_ring(ring: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Even-odd containment of many points, vectorized over edges; over a (K, ...) stack of rings and point sets too."""
     nxt = np.concatenate([ring[..., 1:, :], ring[..., :1, :]], axis=-2)
@@ -212,15 +205,21 @@ def offset_chains(points: np.ndarray, ascender, descender) -> tuple[np.ndarray, 
     return points + ascender * normals, points + (-descender) * normals
 
 
+def _on_page(x0, y0, x1, y1, h, w):
+    """Whether the box from (x0, y0) to (x1, y1) lies in the [0, w] x [0, h] page, edges included (-0.0 too):
+    the package's one page test, over scalars or arrays."""
+    return (x0 >= 0) & (y0 >= 0) & (x1 <= w) & (y1 <= h)
+
+
 def clip_to_page(polygon: Polygon, h: int, w: int) -> Polygon:
-    """``polygon`` if it lies inside [0, w] x [0, h], else its part inside (Sutherland-Hodgman, one edge at a time).
+    """``polygon`` if it lies on the page (:func:`_on_page`), else its part inside [0, w] x [0, h]
+    (Sutherland-Hodgman, one edge at a time).
 
     Unlike clamping each vertex, this keeps the part of the region that was
     on the page, so a baseline inside the polygon stays inside it.  Raises
     ``ValueError`` when no area is left.
     """
-    x0, y0, x1, y1 = polygon.bounds()
-    if x0 >= 0 and y0 >= 0 and x1 <= w and y1 <= h:
+    if _on_page(*polygon.bounds(), h, w):
         return polygon
     ring = polygon.ring
     for axis, bound, sign in ((0, 0.0, 1.0), (0, float(w), -1.0), (1, 0.0, 1.0), (1, float(h), -1.0)):
@@ -248,17 +247,22 @@ def clip_to_page(polygon: Polygon, h: int, w: int) -> Polygon:
 _BATCH_ELEMENTS = 1 << 18
 
 
-def _chunks(sizes: np.ndarray, budget: int):
-    """Consecutive ``(a, b)`` ranges over ``sizes``, each with ``(b - a) * max(sizes[a:b])`` (its rows padded
-    to the longest) within ``budget``, or of one item: the package's one chunk rule."""
-    a = 0
+def _chunks(sizes: np.ndarray):
+    """Consecutive ``(a, b)`` ranges over ``sizes``: the package's one chunk rule.  Each is the longest run
+    from ``a`` of at most ``_BATCH_ELEMENTS`` items whose ``(b - a) * max(sizes[a:b])`` (rows padded to the
+    longest) fits ``_BATCH_ELEMENTS``, or one item.  A search reads a window of twice the last run's length
+    (the whole budget at first), doubled while the run fills it, so each item is read a few times in all."""
+    budget = _BATCH_ELEMENTS
+    a, n = 0, budget
     while a < len(sizes):
-        # items of size >= 1 fit at most ``budget`` to a chunk; zero-size ones are capped at that count too
-        window = sizes[a : a + budget]
-        padded = np.maximum.accumulate(window) * np.arange(1, len(window) + 1)
-        b = a + max(1, int(np.searchsorted(padded, budget, side="right")))
+        window = sizes[a : a + n]
+        fit = int(np.searchsorted(np.maximum.accumulate(window) * np.arange(1, len(window) + 1), budget, "right"))
+        if fit == n < budget:  # the run may go on past the window
+            n = min(2 * n, budget)
+            continue
+        b = a + max(1, fit)
         yield a, b
-        a = b
+        a, n = b, min(2 * (b - a), budget)
 
 
 def _pad_rows(rows: np.ndarray, values: np.ndarray, n_rows: int, fill: float) -> np.ndarray:
@@ -383,7 +387,7 @@ def _overlaps(a: list[Polygon], b: list[Polygon]) -> np.ndarray:
     rings_a = [a[k].ring for k in live]
     rings_b = [b[k].ring for k in live]
     sizes = np.array([(len(p) + len(q)) ** 2 for p, q in zip(rings_a, rings_b)], dtype=np.int64)
-    for c0, c1 in _chunks(sizes, _BATCH_ELEMENTS):
+    for c0, c1 in _chunks(sizes):
         ks = live[c0:c1]
         out[ks] = _slab_areas(_ring_edges(rings_a[c0:c1]), _ring_edges(rings_b[c0:c1]), lo[ks, None], hi[ks, None])
     return out

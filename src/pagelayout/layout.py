@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _raster
-from .geometry import Polygon, Polyline, _contains_within, intersection_area
+from .geometry import Polygon, Polyline, _contains_within, _on_page, intersection_area
 
 _CONTAIN_MIN = 0.95  # fraction of a line polygon its block must cover
 # bound on every coordinate, height and size ``load_layout`` accepts: far
@@ -120,13 +120,13 @@ class PageLayout:
                 if line.id in seen:
                     raise LayoutError(f"line {line.id!r}", "duplicate line id")
                 seen.add(line.id)
-                self._check_on_page(line.polygon.ring, f"line {line.id!r}.polygon")
-                self._check_on_page(line.baseline.points, f"line {line.id!r}.baseline")
-            self._check_on_page(block.polygon.ring, f"block {block.id!r}.polygon")
+                self._check_on_page(line.polygon.bounds(), f"line {line.id!r}.polygon")
+                pts = line.baseline.points
+                self._check_on_page((*pts.min(axis=0), *pts.max(axis=0)), f"line {line.id!r}.baseline")
+            self._check_on_page(block.polygon.bounds(), f"block {block.id!r}.polygon")
 
-    def _check_on_page(self, points: np.ndarray, path: str):
-        (x0, y0), (x1, y1) = points.min(axis=0), points.max(axis=0)
-        if not (x0 >= 0 and y0 >= 0 and x1 <= self.width and y1 <= self.height):
+    def _check_on_page(self, box: tuple, path: str):
+        if not _on_page(*box, self.height, self.width):
             raise LayoutError(path, f"reaches off the page [0, {self.width}] x [0, {self.height}]")
 
     @property

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._raster import sample_polylines
-from .geometry import _BATCH_ELEMENTS, Polygon, Polyline, _chunks, _segment_distance, polygon_iou
+from .geometry import Polygon, Polyline, _chunks, _segment_distance, polygon_iou
 from .layout import PageLayout
 
 DEFAULT_IOU_THRESHOLD = 0.7
@@ -46,13 +46,11 @@ def _coverage(sources: list[Polyline], targets: list[Polyline], tolerance: float
     row-major; a segment's bounding box grown by the tolerance covers, in
     each of its cell rows, one contiguous run of them, found by binary
     search.  The exact box filter and the point-segment distance then run
-    over every pair of every run, the runs (some empty) in :func:`_chunks`
-    of ``_BATCH_ELEMENTS`` pairs.  The cells a box touches hold every
-    sample inside it, and the box every sample the distance can accept, so
-    the result equals testing all sample-segment pairs.
+    over every pair of every run, the runs (some empty) in :func:`_chunks`.
+    The cells a box touches hold every sample inside it, and the box every
+    sample the distance can accept, so the result equals testing all
+    sample-segment pairs.  Neither side is empty.
     """
-    if not targets:
-        return 0.0
     pts, _ = sample_polylines([line.points for line in sources], 1.0)
     ends = np.cumsum([len(line.points) for line in targets])
     chain = np.concatenate([line.points for line in targets])
@@ -82,7 +80,7 @@ def _coverage(sources: list[Polyline], targets: list[Polyline], tolerance: float
     run_ends = np.cumsum(size)
     (lo_x, lo_y), (hi_x, hi_y) = lo.T, hi.T
     covered = np.zeros(len(pts), dtype=bool)
-    for a, b in _chunks(size, _BATCH_ELEMENTS):
+    for a, b in _chunks(size):
         k = np.repeat(seg[a:b], size[a:b])
         at = np.repeat(start[a:b] - (run_ends[a:b] - size[a:b]), size[a:b]) + np.arange(run_ends[a] - size[a], run_ends[b - 1])
         q = order[at]
@@ -94,16 +92,23 @@ def _coverage(sources: list[Polyline], targets: list[Polyline], tolerance: float
     return float(covered.mean())
 
 
+def _empty_scores(pred: list, gt: list) -> tuple[float, float, float]:
+    """(P, R, F) of a prediction and a ground-truth set of which one is empty: no predictions means P=1, no
+    ground truth R=1, the other 0, and F=1 only when both are empty."""
+    p, r = float(not pred), float(not gt)
+    return (p, r, float(p == r))
+
+
 def match_baselines(
     pred: list[Polyline], gt: list[Polyline], tolerance: float
 ) -> tuple[float, float, float]:
     """Coverage-based precision/recall/F for baseline sets; ``tolerance`` must be finite and >= 0."""
     if not 0.0 <= tolerance < math.inf:  # NaN fails too
         raise ValueError(f"baseline tolerance must be finite and >= 0, got {tolerance}")
-    if not pred and not gt:
-        return (1.0, 1.0, 1.0)
-    p = 1.0 if not pred else _coverage(pred, gt, tolerance)
-    r = 1.0 if not gt else _coverage(gt, pred, tolerance)
+    if not pred or not gt:
+        return _empty_scores(pred, gt)
+    p = _coverage(pred, gt, tolerance)
+    r = _coverage(gt, pred, tolerance)
     return (p, r, f_value(p, r))
 
 
@@ -118,10 +123,8 @@ def match_polygons(
     """
     if not 0.0 <= iou_threshold <= 1.0:  # NaN fails too
         raise ValueError(f"iou_threshold must lie in [0, 1], got {iou_threshold}")
-    if not pred and not gt:
-        return (1.0, 1.0, 1.0)
     if not pred or not gt:
-        return (1.0 if not pred else 0.0, 1.0 if not gt else 0.0, 0.0)
+        return _empty_scores(pred, gt)
     pb = np.array([p.bounds() for p in pred])[:, None, :]
     gb = np.array([g.bounds() for g in gt])[None, :, :]
     touch = (pb[..., 2] >= gb[..., 0]) & (gb[..., 2] >= pb[..., 0]) & (pb[..., 3] >= gb[..., 1]) & (gb[..., 3] >= pb[..., 1])

@@ -47,10 +47,9 @@ def estimate_scale(maps: ChannelMaps, raw_threshold: float = DEFAULT_SCALE_THRES
 def sample_scale_augmentation(seed: int, count: int | None = None):
     """Random training-scale factor(s) 2**x with x ~ N(0, 1), seeded.
 
-    Returns a float for ``count=None``, otherwise an ndarray of ``count``
-    factors from the same deterministic stream.
+    Returns a float for ``count=None``, the first factor of ``count=1``,
+    otherwise an ndarray of ``count`` factors from the same deterministic
+    stream.
     """
-    rng = Rng(seed)
-    if count is None:
-        return 2.0 ** rng.normal()
-    return 2.0 ** rng.normal_array(count)
+    factors = 2.0 ** Rng(seed).normal_array(1 if count is None else count)
+    return float(factors[0]) if count is None else factors

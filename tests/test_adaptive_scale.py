@@ -62,7 +62,12 @@ class TestEstimateScale:
 class TestScaleAugmentation:
     def test_closed_form(self):
         for seed in range(20):
-            assert sample_scale_augmentation(seed) == 2.0 ** Rng(seed).normal()
+            assert sample_scale_augmentation(seed) == (2.0 ** Rng(seed).normal_array(1))[0]
+
+    def test_one_factor_is_the_first_of_a_batch_of_one(self):
+        """The scalar call and ``count=1`` run the one Box-Muller and the one power, so they agree to the bit."""
+        for seed in range(3000):
+            assert sample_scale_augmentation(seed) == sample_scale_augmentation(seed, 1)[0]
 
     def test_deterministic_per_seed(self):
         assert sample_scale_augmentation(42) == sample_scale_augmentation(42)

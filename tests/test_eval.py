@@ -109,9 +109,13 @@ class TestMatchPolygons:
         assert match_polygons(pred, gt, iou_threshold=0.7)[0] == 0.0
 
     def test_empty_conventions(self):
-        assert match_polygons([], [rect(0, 0, 1, 1)]) == (1.0, 0.0, 0.0)
-        assert match_polygons([rect(0, 0, 1, 1)], []) == (0.0, 1.0, 0.0)
-        assert match_polygons([], []) == (1.0, 1.0, 1.0)
+        """Baselines and polygons score the three empty cases alike: no predictions P=1, no ground truth R=1,
+        both empty F=1, the rest 0."""
+        line, poly = Polyline([[0, 5], [40, 5]]), rect(0, 0, 1, 1)
+        for n_pred, n_gt, want in ((0, 1, (1.0, 0.0, 0.0)), (1, 0, (0.0, 1.0, 0.0)), (0, 0, (1.0, 1.0, 1.0))):
+            got = match_baselines([line] * n_pred, [line] * n_gt, tolerance=2.0), match_polygons([poly] * n_pred, [poly] * n_gt)
+            assert got == (want, want)
+            assert all(type(v) is float for scores in got for v in scores)
 
     def test_greedy_matches_oracle_on_random_rects(self):
         rng = np.random.default_rng(1)
@@ -252,13 +256,12 @@ class TestEvaluate:
         """Coverage pairs, sampled polylines and kernel pairs in many chunks give the one-chunk scores."""
         pairs = page_pairs["noisy"][:3] + page_pairs["multi"][:3]
         want = [score_bits(evaluate(pred, gt)) for pred, gt in pairs]
-        for module in (pagelayout.metrics, pagelayout._raster, pagelayout.geometry):
-            monkeypatch.setattr(module, "_BATCH_ELEMENTS", 300)
+        monkeypatch.setattr(pagelayout.geometry, "_BATCH_ELEMENTS", 300)
         chunk_counts, distance_calls = [], []
         chunks, distance = pagelayout.geometry._chunks, pagelayout.metrics._segment_distance
 
-        def counted_chunks(sizes, budget):
-            ranges = list(chunks(sizes, budget))
+        def counted_chunks(sizes):
+            ranges = list(chunks(sizes))
             chunk_counts.append(len(ranges))
             return ranges
 

@@ -23,6 +23,7 @@ from pagelayout.geometry import (
 from conftest import make_line
 from oracles import (
     alpha_shape_oracle,
+    chunks_oracle,
     cleaned_ring_contains_oracle,
     coverage_distance_oracle,
     intersection_area_oracle,
@@ -327,15 +328,16 @@ class TestPairwiseKernel:
         want = bits(intersection_area(a, b)), bits(intersection_area(a[0], b)), bits(intersection_area(a, b[0]))
         monkeypatch.setattr(pagelayout.geometry, "_BATCH_ELEMENTS", 500)
         assert (bits(intersection_area(a, b)), bits(intersection_area(a[0], b)), bits(intersection_area(a, b[0]))) == want
-        assert len(list(pagelayout.geometry._chunks(np.array([len(p.ring) + len(q.ring) for p, q in pairs]) ** 2, 500))) > 50
+        assert len(list(pagelayout.geometry._chunks(np.array([len(p.ring) + len(q.ring) for p, q in pairs]) ** 2))) > 50
 
 
 class TestChunks:
-    def test_ranges_are_greedy_within_the_padded_budget(self):
+    def test_ranges_are_greedy_within_the_padded_budget(self, monkeypatch):
         """Consecutive ranges cover every item; each is one item or fits the budget padded to its longest
         row, and takes the next item only if that still fits (zero-size items too, at most ``budget``)."""
         rng = np.random.default_rng(34)
         budget = 60
+        monkeypatch.setattr(pagelayout.geometry, "_BATCH_ELEMENTS", budget)
         inputs = [
             np.array([], dtype=np.int64),
             np.full(25, 7),
@@ -345,7 +347,7 @@ class TestChunks:
             np.zeros(150, dtype=np.int64),
         ]
         for sizes in inputs:
-            ranges = list(_chunks(sizes, budget))
+            ranges = list(_chunks(sizes))
             bounds = [0] + [b for _, b in ranges]
             assert [a for a, _ in ranges] == bounds[:-1] and bounds[-1] == len(sizes)
             for a, b in ranges:
@@ -353,6 +355,21 @@ class TestChunks:
                 assert b - a <= budget
                 if b < len(sizes) and b - a < budget:
                     assert (b - a + 1) * sizes[a : b + 1].max() > budget
+
+    def test_ranges_equal_the_one_window_rule(self, monkeypatch):
+        """The doubling-window search splits as one search over a window of ``budget`` items per chunk
+        did, on random sizes and budgets, zero-size runs and items past the budget included."""
+        rng = np.random.default_rng(35)
+        for case in range(2000):
+            n, budget = int(rng.integers(0, 300)), int(rng.integers(1, 200))
+            sizes = (
+                rng.integers(0, 50, n),
+                rng.integers(0, 3, n) * rng.integers(0, 30, n),
+                np.zeros(n, dtype=np.int64),
+                rng.integers(0, 2 * budget + 2, n),
+            )[case % 4]
+            monkeypatch.setattr(pagelayout.geometry, "_BATCH_ELEMENTS", budget)
+            assert list(_chunks(sizes)) == chunks_oracle(sizes, budget)
 
 
 class TestStoredBounds:

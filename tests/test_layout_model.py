@@ -169,6 +169,40 @@ class TestValidation:
             make_page([make_block("b0", [line])], height=64, width=96)
         assert err.value.path == "line 'l0'.polygon"
 
+    def test_page_box_is_decided_alike_everywhere(self):
+        """``PageLayout``, ``clip_to_page`` and the fragment ring check take the same rings as on the page:
+        edges touching the page's sides, and -0.0, are on it; 1 ulp past a side is off."""
+        from pagelayout.blocks import _clean_rings
+        from pagelayout.geometry import Polygon, Polyline, clip_to_page
+        from pagelayout.layout import TextBlock, TextLine
+
+        h, w = 30, 40
+        below, above = float(np.nextafter(0.0, -1.0)), (float(np.nextafter(w, np.inf)), float(np.nextafter(h, np.inf)))
+        table = [  # x0, y0, x1, y1 of a rectangle ring, and whether it lies on the page
+            (0.0, 10.0, 10.0, 20.0, True),
+            (30.0, 10.0, w, 20.0, True),
+            (10.0, 0.0, 20.0, 10.0, True),
+            (10.0, 20.0, 20.0, h, True),
+            (below, 10.0, 10.0, 20.0, False),
+            (30.0, 10.0, above[0], 20.0, False),
+            (10.0, below, 20.0, 10.0, False),
+            (10.0, 20.0, 20.0, above[1], False),
+            (-0.0, -0.0, 10.0, 10.0, True),
+        ]
+        for x0, y0, x1, y1, on_page in table:
+            ring = np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])
+            baseline = np.array([[x0 + 2, (y0 + y1) / 2], [x1 - 2, (y0 + y1) / 2]])
+            polygon = Polygon(ring)
+            line = TextLine("l0", Polyline(baseline), 5.0, 2.0, polygon)
+            try:
+                make_page([TextBlock("b0", [line], polygon)], height=h, width=w)
+                accepted = True
+            except LayoutError:
+                accepted = False
+            kept = clip_to_page(polygon, h, w) is polygon
+            clean = bool(_clean_rings(ring[None], baseline[None], h, w)[0])
+            assert (accepted, kept, clean) == (on_page,) * 3, (x0, y0, x1, y1)
+
     def test_load_rejects_off_page_line_polygon(self):
         page = make_page([make_block("b0", [make_line("l0", 8, 95, 20, 10.0, 3.0)])], height=64, width=96)
         doc = json.loads(save_layout(page))

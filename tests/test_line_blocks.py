@@ -103,9 +103,9 @@ class TestHeights:
             xs = np.sort(rng.uniform(-8, 72, n)) + np.arange(n) * 1e-3
             baselines.append(Polyline(np.stack([xs, rng.uniform(-4, 52) + rng.uniform(-6, 6, n)], axis=1)))
         baselines.insert(int(rng.integers(len(baselines) + 1)), Polyline([[500.0, 500.0], [600.0, 500.0]]))
-        for batch in (pagelayout.blocks._BATCH_ELEMENTS, 50):
+        for batch in (pagelayout.geometry._BATCH_ELEMENTS, 50):
             with pytest.MonkeyPatch.context() as m:
-                m.setattr(pagelayout.blocks, "_BATCH_ELEMENTS", batch)
+                m.setattr(pagelayout.geometry, "_BATCH_ELEMENTS", batch)
                 asc, des, on_page = pagelayout.blocks._heights(baselines, maps, pct)
             for k, bl in enumerate(baselines):
                 rows, cols, counts = polyline_pixels([bl.points], maps.shape)
@@ -490,13 +490,13 @@ class TestExtractPage:
         want = [save_layout(extract_page(maps)) for maps in pages]
         chunks, most_chunks = pagelayout.blocks._chunks, {}
 
-        def counted_chunks(sizes, budget):
-            ranges = list(chunks(sizes, budget))
+        def counted_chunks(sizes):
+            ranges = list(chunks(sizes))
             caller = sys._getframe(1).f_code.co_name
             most_chunks[caller] = max(most_chunks.get(caller, 0), len(ranges))
             return ranges
 
-        monkeypatch.setattr(pagelayout.blocks, "_BATCH_ELEMENTS", 300)
+        monkeypatch.setattr(pagelayout.geometry, "_BATCH_ELEMENTS", 300)
         monkeypatch.setattr(pagelayout.blocks, "_chunks", counted_chunks)
         assert [save_layout(extract_page(maps)) for maps in pages] == want
         assert min(most_chunks[f] for f in ("_heights", "_clean_rings", "_strip_sums")) > 10

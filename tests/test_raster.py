@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import pagelayout._raster
+import pagelayout.geometry
 from pagelayout._raster import polygon_window, polyline_pixels, sample_polyline, sample_polylines, stroke_window
 from pagelayout.blocks import polygon_from_baseline
 from pagelayout.channels import OrientationMaps
@@ -266,6 +267,6 @@ class TestSamplePolylines:
         rng = np.random.default_rng(42)
         lines = random_polylines(rng, 60)
         want, want_counts = sample_polylines(lines, 0.5)
-        monkeypatch.setattr(pagelayout._raster, "_BATCH_ELEMENTS", 20)
+        monkeypatch.setattr(pagelayout.geometry, "_BATCH_ELEMENTS", 20)
         got, counts = sample_polylines(lines, 0.5)
         assert np.array_equal(counts, want_counts) and np.array_equal(got.view(np.int64), want.view(np.int64))
