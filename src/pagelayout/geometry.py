@@ -248,21 +248,17 @@ _BATCH_ELEMENTS = 1 << 18
 
 
 def _chunks(sizes: np.ndarray):
-    """Consecutive ``(a, b)`` ranges over ``sizes``: the package's one chunk rule.  Each is the longest run
-    from ``a`` of at most ``_BATCH_ELEMENTS`` items whose ``(b - a) * max(sizes[a:b])`` (rows padded to the
-    longest) fits ``_BATCH_ELEMENTS``, or one item.  A search reads a window of twice the last run's length
-    (the whole budget at first), doubled while the run fills it, so each item is read a few times in all."""
+    """Consecutive ``(a, b)`` ranges over ``sizes``, each with ``(b - a) * max(sizes[a:b])`` (its rows padded
+    to the longest) within ``_BATCH_ELEMENTS``, or of one item: the package's one chunk rule."""
     budget = _BATCH_ELEMENTS
-    a, n = 0, budget
+    a = 0
     while a < len(sizes):
-        window = sizes[a : a + n]
-        fit = int(np.searchsorted(np.maximum.accumulate(window) * np.arange(1, len(window) + 1), budget, "right"))
-        if fit == n < budget:  # the run may go on past the window
-            n = min(2 * n, budget)
-            continue
-        b = a + max(1, fit)
+        # items of size >= 1 fit at most ``budget`` to a chunk; zero-size ones are capped at that count too
+        window = sizes[a : a + budget]
+        padded = np.maximum.accumulate(window) * np.arange(1, len(window) + 1)
+        b = a + max(1, int(np.searchsorted(padded, budget, side="right")))
         yield a, b
-        a, n = b, min(2 * (b - a), budget)
+        a = b
 
 
 def _pad_rows(rows: np.ndarray, values: np.ndarray, n_rows: int, fill: float) -> np.ndarray:

@@ -89,10 +89,8 @@ def _orientation_gate(omaps: OrientationMaps) -> dict[int, np.ndarray]:
 
 
 def rotate_polygon(polygon: Polygon, size_hw: tuple[int, int], turns: int) -> Polygon:
-    """Map a polygon between frames, clipped to the one it maps into (a pixel-centre quarter turn carries an
-    edge 1 px past it; zero turns return ``polygon``); raises ``ValueError`` when no area is left there."""
-    if turns % 4 == 0:
-        return polygon
+    """Map a polygon between frames, clipped to the one it maps into (a pixel-centre quarter
+    turn carries an edge 1 px past it); raises ``ValueError`` when no area is left there."""
     ring = rotate90_points(polygon.ring, size_hw, turns)
     return clip_to_page(Polygon(ring, check_simple=False), *rotated_size(size_hw, turns))
 

@@ -12,19 +12,6 @@ import numpy as np
 from scipy import ndimage
 
 
-def chunks_oracle(sizes: np.ndarray, budget: int) -> list[tuple[int, int]]:
-    """The chunk rule by one search per chunk over a window of ``budget`` items: the longest prefix
-    whose item count times its largest size stays within ``budget``, or one item."""
-    ranges, a = [], 0
-    while a < len(sizes):
-        window = sizes[a : a + budget]
-        padded = np.maximum.accumulate(window) * np.arange(1, len(window) + 1)
-        b = a + max(1, int(np.searchsorted(padded, budget, side="right")))
-        ranges.append((a, b))
-        a = b
-    return ranges
-
-
 def box_mean_oracle(arr: np.ndarray, size: int) -> np.ndarray:
     """size x size box mean with edge replication, by direct looping."""
     h, w = arr.shape

@@ -23,7 +23,6 @@ from pagelayout.geometry import (
 from conftest import make_line
 from oracles import (
     alpha_shape_oracle,
-    chunks_oracle,
     cleaned_ring_contains_oracle,
     coverage_distance_oracle,
     intersection_area_oracle,
@@ -355,21 +354,6 @@ class TestChunks:
                 assert b - a <= budget
                 if b < len(sizes) and b - a < budget:
                     assert (b - a + 1) * sizes[a : b + 1].max() > budget
-
-    def test_ranges_equal_the_one_window_rule(self, monkeypatch):
-        """The doubling-window search splits as one search over a window of ``budget`` items per chunk
-        did, on random sizes and budgets, zero-size runs and items past the budget included."""
-        rng = np.random.default_rng(35)
-        for case in range(2000):
-            n, budget = int(rng.integers(0, 300)), int(rng.integers(1, 200))
-            sizes = (
-                rng.integers(0, 50, n),
-                rng.integers(0, 3, n) * rng.integers(0, 30, n),
-                np.zeros(n, dtype=np.int64),
-                rng.integers(0, 2 * budget + 2, n),
-            )[case % 4]
-            monkeypatch.setattr(pagelayout.geometry, "_BATCH_ELEMENTS", budget)
-            assert list(_chunks(sizes)) == chunks_oracle(sizes, budget)
 
 
 class TestStoredBounds:
